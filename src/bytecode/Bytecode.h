@@ -122,7 +122,16 @@ namespace bytecode {
   /* commutative-update heap (appended, keeping prior opcode values) */       \
   X(CheckHeapCommutative) /* same contract as the other CheckHeap* */         \
   X(ComUpdate)    /* deferred update at r[A] with r[B]; C = bytes|op<<4, */   \
-                  /* Imm = expected tag bits (check fused in) */
+                  /* Imm = expected tag bits (check fused in) */              \
+  /* training-run probes (LowerOptions::Probes only; appended last, never  */\
+  /* in a shipped image).  Imm indexes the lowering's ProbeTable.          */\
+  X(ProbeBlock)   /* block Imm entered from the frame's previous block */    \
+  X(ProbeLoad)    /* load Imm about to read at r[A] */                        \
+  X(ProbeStore)   /* store Imm about to write at r[A] */                      \
+  X(ProbeAlloc)   /* alloc site Imm returned r[A]; malloc size in r[C] */     \
+  X(ProbeFree)    /* free Imm about to release r[A] */                        \
+  X(ProbeCall)    /* call Imm about to enter its callee */                    \
+  X(ProbeRet)     /* call Imm returned */
 
 enum class BcOp : uint16_t {
 #define PRIVATEER_BC_ENUM(N) N,
@@ -137,6 +146,10 @@ inline constexpr unsigned kNumBcOps = 0
     ;
 
 const char *bcOpName(BcOp Op);
+
+/// Probe opcodes occupy the tail of the opcode space.
+inline constexpr unsigned kFirstProbeBcOp =
+    static_cast<unsigned>(BcOp::ProbeBlock);
 
 /// One 16-byte instruction.  A/B/C index the frame's register file.
 struct BcInst {

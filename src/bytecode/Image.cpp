@@ -189,7 +189,7 @@ bool getFunction(Cursor &C, BcFunction &F, uint32_t NumFunctions,
     I.B = C.getU16();
     I.C = C.getU16();
     I.Imm = static_cast<int64_t>(C.getU64());
-    if (I.Op >= kNumBcOps) {
+    if (I.Op >= kFirstProbeBcOp) {
       C.Fail = true;
       C.Why = "bad opcode";
       return false;

@@ -293,6 +293,15 @@ private:
     return true;
   }
 
+  /// Emits probe \p Op for \p I when lowering with probes.
+  void emitProbe(BcOp Op, const Instruction &I, uint16_t A = 0,
+                 uint16_t C = 0) {
+    if (!Opts.Probes)
+      return;
+    Opts.Probes->Insts.push_back(&I);
+    emit(Op, A, 0, C, static_cast<int64_t>(Opts.Probes->Insts.size() - 1));
+  }
+
   uint16_t addAllocSite(const Instruction *I) {
     BcAllocSite S;
     S.HasHeap = I->hasAllocHeap();
@@ -383,6 +392,13 @@ private:
 
   void lowerBlock(const BasicBlock *B) {
     BlockPc[B] = static_cast<uint32_t>(BF.Code.size());
+    if (Opts.Probes) {
+      // First at the block's pc, so every edge into the block (and the
+      // function entry) passes it before the phi copies.
+      Opts.Probes->Blocks.push_back(B);
+      emit(BcOp::ProbeBlock, 0, 0, 0,
+           static_cast<int64_t>(Opts.Probes->Blocks.size() - 1));
+    }
     std::vector<const Instruction *> Phis = leadingPhis(B);
     for (const Instruction *Phi : Phis)
       if (Stage[Phi] != Regs[Phi])
@@ -446,19 +462,26 @@ private:
       uint16_t Site = addAllocSite(&I);
       emit(BcOp::Alloca, Regs[&I], Site, 0,
            static_cast<int64_t>(I.accessBytes()));
+      emitProbe(BcOp::ProbeAlloc, I, Regs[&I]);
       return;
     }
     case Opcode::Malloc: {
       uint16_t Site = addAllocSite(&I);
-      emit(BcOp::Malloc, Regs[&I], Site, regFor(I.operand(0)));
+      uint16_t Size = regFor(I.operand(0));
+      emit(BcOp::Malloc, Regs[&I], Site, Size);
+      emitProbe(BcOp::ProbeAlloc, I, Regs[&I], Size);
       return;
     }
-    case Opcode::Free:
-      emit(BcOp::Free, regFor(I.operand(0)));
+    case Opcode::Free: {
+      uint16_t Ptr = regFor(I.operand(0));
+      emitProbe(BcOp::ProbeFree, I, Ptr);
+      emit(BcOp::Free, Ptr);
       return;
+    }
     case Opcode::Load: {
       uint64_t Bytes = I.accessBytes();
       uint16_t Ptr = regFor(I.operand(0));
+      emitProbe(BcOp::ProbeLoad, I, Ptr);
       if (I.type() == Type::F64) {
         if (Bytes != 8) {
           fail("f64 load must be 8 bytes");
@@ -477,6 +500,7 @@ private:
       uint64_t Bytes = I.accessBytes();
       uint16_t Val = regFor(I.operand(0));
       uint16_t Ptr = regFor(I.operand(1));
+      emitProbe(BcOp::ProbeStore, I, Ptr);
       if (Bytes == 8)
         emit(BcOp::Store8, Val, Ptr);
       else
@@ -581,8 +605,10 @@ private:
         BF.RegPool.push_back(regFor(I.operand(A)));
       BF.CallSites.push_back(Site);
       bool HasResult = I.type() != Type::Void;
+      emitProbe(BcOp::ProbeCall, I);
       emit(BcOp::Call, HasResult ? Regs[&I] : 0, 0, HasResult ? 1 : 0,
            static_cast<int64_t>(BF.CallSites.size() - 1));
+      emitProbe(BcOp::ProbeRet, I);
       return;
     }
     case Opcode::Print: {
@@ -632,11 +658,11 @@ private:
       return;
     case Opcode::PostDep:
       emit(BcOp::PostDep, regFor(I.operand(0)), regFor(I.operand(1)), 0,
-           static_cast<int64_t>(I.accessBytes()));
+           static_cast<int64_t>(I.depChannel()));
       return;
     case Opcode::WaitDep:
       emit(BcOp::WaitDep, Regs[&I], regFor(I.operand(0)), 0,
-           static_cast<int64_t>(I.accessBytes()));
+           static_cast<int64_t>(I.depChannel()));
       return;
     case Opcode::Phi:
     case Opcode::Br:
@@ -655,6 +681,8 @@ bytecode::lowerModule(const Module &M, const LowerOptions &Opts,
                       std::string &WhyNot) {
   auto Prog = std::make_unique<BytecodeProgram>();
   for (const auto &G : M.globals()) {
+    if (Opts.Probes)
+      Opts.Probes->Globals.push_back(G.get());
     Prog->GlobalIdx[G->name()] = static_cast<uint32_t>(Prog->Globals.size());
     BcGlobal BG;
     BG.Name = G->name();

@@ -22,9 +22,19 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace privateer {
 namespace bytecode {
+
+/// The IR entities a probe-instrumented lowering's probe ops refer to, by
+/// dense index (ProbeBlock/ProbeLoad/... Imm).  Built by lowerModule for
+/// that one lowering, so the BytecodeProgram itself keeps no IR pointers.
+struct ProbeTable {
+  std::vector<const ir::BasicBlock *> Blocks;
+  std::vector<const ir::Instruction *> Insts;
+  std::vector<const ir::GlobalVariable *> Globals; ///< By global index.
+};
 
 struct LowerOptions {
   /// The pipeline-selected DOALL loop to compile interception for; null
@@ -36,6 +46,11 @@ struct LowerOptions {
   /// null) beyond it.  The default is the instruction encoding's limit;
   /// tests shrink it to exercise the interpreter-fallback path.
   unsigned MaxRegsPerFunction = 65535;
+  /// When set, lowering emits the training-run probes (block entry, load,
+  /// store, alloc, free, call, return) and fills this table.  The
+  /// training run lowers the untransformed module this way; see
+  /// profiling/TrainingRun.h.
+  ProbeTable *Probes = nullptr;
 };
 
 /// Lowers \p M to bytecode.  Returns null and sets \p WhyNot when any

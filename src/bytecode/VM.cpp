@@ -55,6 +55,9 @@ void VM::initializeGlobals() {
     const BcGlobal &G = Prog.Globals[Idx];
     void *P = MM.allocateTagged(G.SizeBytes, G.HasHeap, G.Heap, /*Zero=*/true);
     GlobalAddrs[Idx] = reinterpret_cast<uint64_t>(P);
+    if (Probes)
+      Probes->global(static_cast<uint32_t>(Idx), GlobalAddrs[Idx],
+                     G.SizeBytes);
   }
   // Frame-entry images depend on the global addresses just assigned.
   FrameInit.resize(Prog.Functions.size());
@@ -596,6 +599,45 @@ dispatch:
     } else {
       applyComUpdate(R[I->A], Op, Bytes, sI(R[I->B]));
     }
+  }
+  BC_NEXT();
+
+  // Training-run probes: only a probe-instrumented lowering emits them.
+  BC_HANDLER(ProbeBlock) {
+    uint32_t B = static_cast<uint32_t>(I->Imm);
+    if (Probes)
+      Probes->block(B, Frm.PrevBlock);
+    Frm.PrevBlock = B;
+  }
+  BC_NEXT();
+  BC_HANDLER(ProbeLoad) {
+    if (Probes)
+      Probes->load(static_cast<uint32_t>(I->Imm), R[I->A]);
+  }
+  BC_NEXT();
+  BC_HANDLER(ProbeStore) {
+    if (Probes)
+      Probes->store(static_cast<uint32_t>(I->Imm), R[I->A]);
+  }
+  BC_NEXT();
+  BC_HANDLER(ProbeAlloc) {
+    if (Probes)
+      Probes->alloc(static_cast<uint32_t>(I->Imm), R[I->A], R[I->C]);
+  }
+  BC_NEXT();
+  BC_HANDLER(ProbeFree) {
+    if (Probes)
+      Probes->dealloc(static_cast<uint32_t>(I->Imm), R[I->A]);
+  }
+  BC_NEXT();
+  BC_HANDLER(ProbeCall) {
+    if (Probes)
+      Probes->call(static_cast<uint32_t>(I->Imm));
+  }
+  BC_NEXT();
+  BC_HANDLER(ProbeRet) {
+    if (Probes)
+      Probes->ret(static_cast<uint32_t>(I->Imm));
   }
   BC_NEXT();
 

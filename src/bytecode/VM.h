@@ -37,6 +37,24 @@
 namespace privateer {
 namespace bytecode {
 
+/// Receives the probe ops of a probe-instrumented program
+/// (LowerOptions::Probes).  Indices are that lowering's ProbeTable
+/// entries; \p From of block() is kNoBlock on function entry.
+class ProbeSink {
+public:
+  static constexpr uint32_t kNoBlock = ~0u;
+  virtual ~ProbeSink() = default;
+  virtual void global(uint32_t GlobalIdx, uint64_t Addr, uint64_t Bytes) = 0;
+  virtual void block(uint32_t Block, uint32_t From) = 0;
+  virtual void load(uint32_t Inst, uint64_t Addr) = 0;
+  virtual void store(uint32_t Inst, uint64_t Addr) = 0;
+  /// \p MallocBytes is the malloc size operand (unused for allocas).
+  virtual void alloc(uint32_t Inst, uint64_t Addr, uint64_t MallocBytes) = 0;
+  virtual void dealloc(uint32_t Inst, uint64_t Addr) = 0;
+  virtual void call(uint32_t Inst) = 0;
+  virtual void ret(uint32_t Inst) = 0;
+};
+
 class VM {
 public:
   /// Counterpart of Interpreter::ParallelPlan; the loop itself is already
@@ -62,6 +80,11 @@ public:
 
   void setParallelPlan(ParallelPlan *P) { Plan = P; }
 
+  /// Routes a probe-instrumented program's probe ops (and the global
+  /// allocations of initializeGlobals) to \p S.  Without a sink, probe ops
+  /// do nothing.
+  void setProbeSink(ProbeSink *S) { Probes = S; }
+
   /// Hard bound on executed bytecode instructions (runaway-loop guard).
   void setInstructionBudget(uint64_t N) { Budget = N; }
   uint64_t instructionsExecuted() const { return Executed; }
@@ -73,6 +96,7 @@ private:
   struct Frame {
     uint64_t *R = nullptr;
     std::vector<void *> Allocas;
+    uint32_t PrevBlock = ProbeSink::kNoBlock; ///< Last ProbeBlock passed.
   };
 
   /// Register-arena capacity in 64-bit slots (bounds call depth; a frame
@@ -99,6 +123,7 @@ private:
   const BytecodeProgram &Prog;
   interp::MemoryManager &MM;
   ParallelPlan *Plan = nullptr;
+  ProbeSink *Probes = nullptr;
   std::vector<uint64_t> GlobalAddrs; ///< By global index.
   /// Per-function frame-entry images (zeros + materialized constants +
   /// global addresses), built once in initializeGlobals and applied to a

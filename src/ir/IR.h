@@ -156,8 +156,7 @@ enum class Opcode : uint8_t {
   PrivateRead, // Operand 0: pointer; payload: bytes.
   PrivateWrite,
   SpeculateEq, // Operands 0, 1: values; misspec when unequal.
-  // Cross-iteration dependence forwarding (DOACROSS / pipeline).  The
-  // channel id travels in the access-bytes payload slot.
+  // Cross-iteration dependence forwarding (DOACROSS / pipeline).
   PostDep, // Operands 0, 1: iteration, value; payload: channel.
   WaitDep, // Operand 0: target iteration; payload: channel; yields i64.
   // Deferred commutative update: a recognized load-op-store cluster on a
@@ -221,6 +220,14 @@ public:
   }
   void setAccessBytes(uint64_t B) { Bytes = B; }
 
+  /// Token channel of a PostDep/WaitDep.
+  uint32_t depChannel() const {
+    assert((Op == Opcode::PostDep || Op == Opcode::WaitDep) &&
+           "not a dependence-token op");
+    return Channel;
+  }
+  void setDepChannel(uint32_t C) { Channel = C; }
+
   ComOp comOp() const {
     assert(Op == Opcode::ComUpdate && "not a commutative update");
     return COp;
@@ -269,6 +276,7 @@ private:
   std::vector<Value *> Operands;
   std::vector<BasicBlock *> Blocks;
   uint64_t Bytes = 0;
+  uint32_t Channel = 0;
   CmpPred Pred = CmpPred::Eq;
   ComOp COp = ComOp::Add;
   Function *Callee = nullptr;

@@ -5,7 +5,6 @@
 #include "analysis/DepDistance.h"
 #include "bytecode/Lower.h"
 #include "bytecode/VM.h"
-#include "profiling/ProfileCollector.h"
 #include "support/ErrorHandling.h"
 #include "transform/Doacross.h"
 
@@ -18,36 +17,55 @@ using namespace privateer::classify;
 using namespace privateer::interp;
 using namespace privateer::ir;
 
+profiling::TrainingInput transform::trainingInput(const PipelineOptions &Opt) {
+  profiling::TrainingInput In;
+  In.Entry = Opt.TrainingEntryFunction.empty() ? Opt.EntryFunction
+                                               : Opt.TrainingEntryFunction;
+  if (In.Entry == Opt.EntryFunction)
+    In.Args = Opt.EntryArgs;
+  In.Budget = Opt.ProfileBudget;
+  return In;
+}
+
 PipelineResult transform::runPrivateerPipeline(Module &M,
                                                const FunctionAnalyses &FA,
                                                const PipelineOptions &Opt) {
-  PipelineResult R;
-
   // --- §4.1 Profiling: one instrumented training run. ---------------------
-  {
-    profiling::ProfileCollector Collector(FA);
-    PlainMemoryManager MM;
-    Interpreter Interp(M, MM, &Collector);
-    Interp.setInstructionBudget(Opt.ProfileBudget);
-    Interp.initializeGlobals();
-    const std::string &TrainEntry = Opt.TrainingEntryFunction.empty()
-                                        ? Opt.EntryFunction
-                                        : Opt.TrainingEntryFunction;
-    Interp.run(TrainEntry, TrainEntry == Opt.EntryFunction
-                               ? Opt.EntryArgs
-                               : std::vector<interp::Cell>());
-    R.TrainingProfile = Collector.finish();
-    R.Log.push_back("profiled @" + TrainEntry + ": " +
-                    std::to_string(Interp.instructionsExecuted()) +
-                    " instructions");
-  }
+  return runPrivateerPipeline(
+      M, FA, Opt, profiling::runTrainingProfile(M, FA, trainingInput(Opt)));
+}
+
+PipelineResult transform::runPrivateerPipeline(Module &M,
+                                               const FunctionAnalyses &FA,
+                                               const PipelineOptions &Opt,
+                                               profiling::TrainingRun Training) {
+  PipelineResult R;
+  R.TrainingProfile = std::move(Training.P);
+  R.Log.push_back("profiled @" + trainingInput(Opt).Entry + ": " +
+                  std::to_string(Training.Instructions) + " instructions");
 
   // --- Hot loops, classification (§4.2), selection (§4.3). ----------------
-  std::vector<Loop *> Loops = FA.allLoops();
-  std::sort(Loops.begin(), Loops.end(), [&](Loop *A, Loop *B) {
-    return R.TrainingProfile.loopStats(A).Weight >
-           R.TrainingProfile.loopStats(B).Weight;
+  // Heaviest first; ties in module order (function, then header block),
+  // so the ranking and the log do not depend on where the module happens
+  // to sit in memory.
+  std::vector<std::pair<Loop *, std::pair<size_t, size_t>>> Ranked;
+  for (size_t FIdx = 0; FIdx < M.functions().size(); ++FIdx) {
+    const Function *F = M.functions()[FIdx].get();
+    for (const auto &L : FA.loops(F).loops()) {
+      size_t BIdx = 0;
+      while (F->blocks()[BIdx].get() != L->header())
+        ++BIdx;
+      Ranked.push_back({L.get(), {FIdx, BIdx}});
+    }
+  }
+  std::sort(Ranked.begin(), Ranked.end(), [&](const auto &A, const auto &B) {
+    uint64_t WA = R.TrainingProfile.loopStats(A.first).Weight;
+    uint64_t WB = R.TrainingProfile.loopStats(B.first).Weight;
+    return WA != WB ? WA > WB : A.second < B.second;
   });
+  std::vector<Loop *> Loops;
+  for (const auto &Entry : Ranked)
+    Loops.push_back(Entry.first);
 
   std::vector<HeapAssignment> Candidates;
   for (Loop *L : Loops) {

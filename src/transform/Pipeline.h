@@ -18,6 +18,7 @@
 #define PRIVATEER_TRANSFORM_PIPELINE_H
 
 #include "interp/Interpreter.h"
+#include "profiling/TrainingRun.h"
 #include "transform/Privatizer.h"
 
 #include <memory>
@@ -85,10 +86,23 @@ struct PipelineResult {
 
 /// Profiles @EntryFunction on the training input (its arguments), ranks
 /// loops by profiled weight, classifies and selects, and transforms the
-/// module in place for the heaviest parallelizable DOALL loop.
+/// module in place for the heaviest parallelizable DOALL loop.  The
+/// training run is profiling::runTrainingProfile (bytecode-hosted, with
+/// the interpreter as fallback).
 PipelineResult runPrivateerPipeline(ir::Module &M,
                                     const analysis::FunctionAnalyses &FA,
                                     const PipelineOptions &Options);
+
+/// The same pipeline after §4.1, over an already-collected training run
+/// of \p M on trainingInput(Options) — e.g. the interpreter-hosted oracle.
+PipelineResult runPrivateerPipeline(ir::Module &M,
+                                    const analysis::FunctionAnalyses &FA,
+                                    const PipelineOptions &Options,
+                                    profiling::TrainingRun Training);
+
+/// The training run \p Options asks for: TrainingEntryFunction (or
+/// EntryFunction with EntryArgs) under ProfileBudget.
+profiling::TrainingInput trainingInput(const PipelineOptions &Options);
 
 struct ExecutionResult {
   interp::Cell ReturnValue;

@@ -352,6 +352,25 @@ TEST(BytecodeImage, RoundTripIsLossless) {
   }
 }
 
+TEST(BytecodeImage, ProbeInstrumentedProgramIsRejected) {
+  // Probe ops index a ProbeTable of IR pointers that only the lowering
+  // process holds; an image carrying them must never load.
+  auto M = parseOrDie(reductionSumIrText(50));
+  bytecode::ProbeTable Table;
+  bytecode::LowerOptions LO;
+  LO.Probes = &Table;
+  std::string WhyNot;
+  auto BP = bytecode::lowerModule(*M, LO, WhyNot);
+  ASSERT_NE(BP, nullptr) << WhyNot;
+  EXPECT_FALSE(Table.Blocks.empty());
+  EXPECT_FALSE(Table.Insts.empty());
+  std::string Image = bytecode::serializeProgram(*BP);
+  std::string Err;
+  EXPECT_EQ(bytecode::deserializeProgram(Image.data(), Image.size(), Err),
+            nullptr);
+  EXPECT_EQ(Err, "bytecode image: bad opcode");
+}
+
 TEST(BytecodeImage, EveryTruncationFailsCleanly) {
   auto M = parseOrDie(reductionSumIrText(701));
   std::string WhyNot;

@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ProfileHostsUtil.h"
 #include "ir/IRParser.h"
 #include "ir/Verifier.h"
 #include "runtime/Privateer.h"
@@ -1058,6 +1059,32 @@ TEST(RandomizedIrSweep, CommutativeLoopsMatchSequentialAcrossMatrix) {
         EXPECT_GT(E.Stats.ComRecordsCommitted, 0u) << Where;
       }
     }
+  }
+}
+
+// --- Training hosts agree across the sweep generators --------------------
+//
+// The pipeline trains on the probe-lowered bytecode VM; the interpreter-
+// hosted run is its oracle.  For every generator of the three sweeps
+// above, both hosts must yield the same canonical profile, heap
+// assignment, pipeline log and transformed module.
+
+TEST(RandomizedIrSweep, ProfileHostsAgree) {
+  unsigned Seeds = 25;
+  if (const char *Env = std::getenv("PRIVATEER_RANDOM_SWEEP_SEEDS"))
+    Seeds = static_cast<unsigned>(std::max(1, std::atoi(Env)));
+  transform::PipelineOptions Doall;
+  transform::PipelineOptions Doacross;
+  Doacross.Strat = Strategy::Doacross;
+  for (uint64_t Seed = 1; Seed <= Seeds; ++Seed) {
+    uint64_t N = 0;
+    std::string Where = "seed " + std::to_string(Seed);
+    testutil::expectProfileHostsAgree(randomIrProgram(Seed, N), Doall,
+                                      Where + " privatizable");
+    testutil::expectProfileHostsAgree(randomDepLoopProgram(Seed, N),
+                                      Doacross, Where + " dependence loop");
+    testutil::expectProfileHostsAgree(randomComLoopProgram(Seed, N), Doall,
+                                      Where + " commutative");
   }
 }
 
