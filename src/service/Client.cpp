@@ -36,8 +36,8 @@ bool Client::connect(const std::string &Path, std::string &Err,
     }
     if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) ==
         0) {
-      // v4 handshake: announce tenant + capabilities.  A plain anonymous
-      // in-band client skips it and is indistinguishable from v2/v3.
+      // Optional handshake: announce tenant + capabilities.  A plain
+      // anonymous in-band client skips it.
       if (!Tenant.empty() || UseMemfd) {
         std::string HErr;
         if (!sendHello(HErr)) {

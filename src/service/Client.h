@@ -56,8 +56,8 @@ public:
   /// Connects to the daemon socket; retries until \p TimeoutSec so a
   /// just-spawned daemon has time to bind.  Remembers the path for
   /// submit()'s transparent reconnects.  When Tenant or UseMemfd is set
-  /// the connection is prefaced with a Hello handshake (protocol v4);
-  /// otherwise the client behaves exactly like a v2/v3 caller.
+  /// the connection is prefaced with a Hello handshake; otherwise the
+  /// client submits in-band as the anonymous tenant.
   bool connect(const std::string &SocketPath, std::string &Err,
                double TimeoutSec = 5.0);
 

@@ -1,8 +1,9 @@
-//===- service/Executive.cpp - Pre-warmed executive process ---------------===//
+//===- service/Executive.cpp - Job executives and runJob ------------------===//
 
 #include "service/Executive.h"
 
 #include "bytecode/Image.h"
+#include "service/ProgramCache.h"
 #include "service/Protocol.h"
 #include "support/Timing.h"
 #include "transform/Pipeline.h"
@@ -91,12 +92,55 @@ std::unique_ptr<bytecode::BytecodeProgram> loadImage(int MemFd,
   return Prog;
 }
 
-/// Executes one assignment against \p BP, producing the supervisor-shaped
-/// reply.  Mirrors Server::runSupervisor's execution block.
-JobReply runAssignment(const ExecAssignment &A,
-                       const bytecode::BytecodeProgram &BP) {
+} // namespace
+
+JobReply service::runJob(const JobRequest &Req, unsigned Attempt,
+                         const JobProgram &Prog) {
+  // Process-level faults: die the way a crashing job would, so the daemon
+  // triages the corpse (and replaces a pooled executive).
+  if (Req.FaultKillSupervisor)
+    ::raise(SIGKILL);
+  if (Req.FaultSupervisorSignal != 0) {
+    // Reset first: a one-shot may have inherited the runtime's SIGSEGV
+    // speculation handler from the daemon's in-process training run.
+    ::signal(static_cast<int>(Req.FaultSupervisorSignal), SIG_DFL);
+    ::raise(static_cast<int>(Req.FaultSupervisorSignal));
+  }
+  if (Req.FaultSupervisorExit != kNoFaultExit)
+    ::_exit(static_cast<int>(Req.FaultSupervisorExit));
+  if (Req.FaultBurnCpuSec > 0) {
+    double End = cpuSeconds() + Req.FaultBurnCpuSec;
+    volatile uint64_t Sink = 0;
+    while (cpuSeconds() < End)
+      for (int I = 0; I < 4096; ++I)
+        Sink = Sink + static_cast<uint64_t>(I) * 2654435761u;
+  }
+
+  // Typed out-of-memory reporting: the reply says so in-band, so the
+  // daemon triages the failure from the reply body, not from a corpse.
+  // Both fault knobs funnel through here, as does any bad_alloc thrown
+  // during execution.
   JobReply R;
-  const JobRequest &Req = A.Req;
+  auto Oom = [&R](std::string Why) {
+    R.Status = JobStatus::ResourceLimit;
+    R.Cause = FailureCause::OutOfMemory;
+    R.Error = std::move(Why);
+    return R;
+  };
+  if (Attempt < Req.FaultOomAttempts)
+    return Oom("fault injection: simulated allocation failure on attempt " +
+               std::to_string(Attempt + 1));
+  if (Req.FaultAllocBytes > 0) {
+    // The nothrow form: ASan aborts a throwing operator new[] it cannot
+    // satisfy even with allocator_may_return_null=1, but returns null
+    // here.  A direct operator call, because a new[]/delete[] expression
+    // pair is elidable at -O3, which would silently defuse the fault.
+    void *P = ::operator new[](Req.FaultAllocBytes, std::nothrow);
+    if (!P)
+      return Oom("allocation of " + std::to_string(Req.FaultAllocBytes) +
+                 " bytes failed (bad_alloc)");
+    ::operator delete[](P);
+  }
 
   char *OutBuf = nullptr;
   size_t OutLen = 0;
@@ -114,6 +158,9 @@ JobReply runAssignment(const ExecAssignment &A,
   Par.InjectMisspecRate = Req.InjectMisspecRate;
   Par.InjectSeed = Req.InjectSeed;
   Par.EagerCommit = Req.EagerCommit;
+  // Honor PRIVATEER_TIMEOUT_SCALE here exactly like the per-job deadline:
+  // sanitizer builds run several-fold slower and the watchdog must not
+  // reap healthy workers.
   Par.StallTimeoutSec = Req.StallTimeoutSec * timeoutScale();
   Par.TracePath = Req.TracePath;
   Par.Faults.Seed = Req.FaultSeed;
@@ -127,14 +174,28 @@ JobReply runAssignment(const ExecAssignment &A,
   Par.NumStages = Req.NumStages;
 
   transform::PipelineOptions PO;
+  PO.Engine = Req.Engine == 1 ? transform::ExecEngine::Interp
+                              : transform::ExecEngine::Bytecode;
   PO.Strat = static_cast<Strategy>(Req.Strat);
   PO.NumStages = Req.NumStages;
 
   double T0 = wallSeconds();
   try {
-    if (A.UseParallel) {
-      transform::ExecutionResult E = transform::executeLoadedParallel(
-          BP, PO, Par, RuntimeConfig(), Out);
+    if (Req.Mode == JobMode::Sequential) {
+      interp::Cell V =
+          Prog.Image ? transform::executeLoadedSequential(*Prog.Image, PO, Out)
+                     : transform::executeSequential(
+                           *Prog.Cached->M, PO, Out,
+                           Prog.Cached->LoweredSeq.get());
+      R.ExitValue = V.asInt();
+    } else {
+      const CachedProgram *C = Prog.Cached;
+      transform::ExecutionResult E =
+          Prog.Image ? transform::executeLoadedParallel(
+                           *Prog.Image, PO, Par, RuntimeConfig(), Out)
+                     : transform::executePrivatized(
+                           *C->M, *C->FA, C->Pipeline.Assignment, PO, Par,
+                           RuntimeConfig(), Out, C->LoweredPar.get());
       R.ExitValue = E.ReturnValue.asInt();
       R.Iterations = E.Stats.Iterations;
       R.Checkpoints = E.Stats.Checkpoints;
@@ -143,16 +204,10 @@ JobReply runAssignment(const ExecAssignment &A,
       R.ComUpdates = E.Stats.ComUpdates;
       R.ComRecordsCommitted = E.Stats.ComRecordsCommitted;
       R.MisspecReason = E.Stats.FirstMisspecReason;
-      R.Status = JobStatus::Ok;
-    } else {
-      interp::Cell V = transform::executeLoadedSequential(BP, PO, Out);
-      R.ExitValue = V.asInt();
-      R.Status = JobStatus::Ok;
     }
+    R.Status = JobStatus::Ok;
   } catch (const std::bad_alloc &) {
-    R.Status = JobStatus::ResourceLimit;
-    R.Cause = FailureCause::OutOfMemory;
-    R.Error = "out of memory (bad_alloc) during execution";
+    Oom("out of memory (bad_alloc) during execution");
   } catch (const std::exception &E) {
     R.Status = JobStatus::InternalError;
     R.Error = E.what();
@@ -164,8 +219,6 @@ JobReply runAssignment(const ExecAssignment &A,
   std::free(OutBuf);
   return R;
 }
-
-} // namespace
 
 int service::executiveMain(int ChanFd) {
   ::signal(SIGPIPE, SIG_IGN);
@@ -199,71 +252,17 @@ int service::executiveMain(int ChanFd) {
       continue;
     }
 
-    if (Type != MsgType::ExecAssign) {
-      for (int Fd : Fds)
-        ::close(Fd);
-      Fds.clear();
-      return 2;
-    }
+    // The frame owns every descriptor that rode with it; at most the
+    // first (the program image) is used.
+    int ImgFd = Fds.empty() ? -1 : Fds.front();
+    for (size_t I = 1; I < Fds.size(); ++I)
+      ::close(Fds[I]);
+    Fds.clear();
     ExecAssignment A;
-    if (!decodeExecAssign(Body, A, Err)) {
-      for (int Fd : Fds)
-        ::close(Fd);
-      Fds.clear();
+    if (Type != MsgType::ExecAssign || !decodeExecAssign(Body, A, Err)) {
+      if (ImgFd >= 0)
+        ::close(ImgFd);
       return 2;
-    }
-    const JobRequest &Req = A.Req;
-
-    // Supervisor-equivalent fault injection: process-level faults kill
-    // this executive (the daemon triages and respawns); typed failures
-    // answer in-band and the executive lives on.
-    if (Req.FaultKillSupervisor)
-      ::raise(SIGKILL);
-    if (Req.FaultSupervisorSignal != 0) {
-      ::signal(static_cast<int>(Req.FaultSupervisorSignal), SIG_DFL);
-      ::raise(static_cast<int>(Req.FaultSupervisorSignal));
-    }
-    if (Req.FaultSupervisorExit != kNoFaultExit)
-      ::_exit(static_cast<int>(Req.FaultSupervisorExit));
-    if (Req.FaultBurnCpuSec > 0) {
-      double End = cpuSeconds() + Req.FaultBurnCpuSec;
-      volatile uint64_t Sink = 0;
-      while (cpuSeconds() < End)
-        for (int I = 0; I < 4096; ++I)
-          Sink = Sink + static_cast<uint64_t>(I) * 2654435761u;
-    }
-    if (A.Attempt < Req.FaultOomAttempts) {
-      for (int Fd : Fds)
-        ::close(Fd);
-      Fds.clear();
-      JobReply R;
-      R.Status = JobStatus::ResourceLimit;
-      R.Cause = FailureCause::OutOfMemory;
-      R.Error = "fault injection: simulated allocation failure on attempt " +
-                std::to_string(A.Attempt + 1);
-      Reply(R);
-      continue;
-    }
-    if (Req.FaultAllocBytes > 0) {
-      bool Failed = false;
-      try {
-        void *P = ::operator new[](Req.FaultAllocBytes);
-        ::operator delete[](P);
-      } catch (const std::bad_alloc &) {
-        Failed = true;
-      }
-      if (Failed) {
-        for (int Fd : Fds)
-          ::close(Fd);
-        Fds.clear();
-        JobReply R;
-        R.Status = JobStatus::ResourceLimit;
-        R.Cause = FailureCause::OutOfMemory;
-        R.Error = "allocation of " + std::to_string(Req.FaultAllocBytes) +
-                  " bytes failed (bad_alloc)";
-        Reply(R);
-        continue;
-      }
     }
 
     // Resolve the program: local cache hit, else deserialize the memfd
@@ -273,25 +272,18 @@ int service::executiveMain(int ChanFd) {
     LocalPrograms::Key K{A.ProgramKey, A.Generation, A.UseParallel};
     const bytecode::BytecodeProgram *BP = Programs.find(K);
     if (BP) {
-      for (int Fd : Fds)
-        ::close(Fd);
-      Fds.clear();
+      if (ImgFd >= 0)
+        ::close(ImgFd);
     } else {
-      if (Fds.empty()) {
-        JobReply R;
-        R.Status = JobStatus::InternalError;
+      JobReply R;
+      R.Status = JobStatus::InternalError;
+      if (ImgFd < 0) {
         R.Error = "executive: assignment without a program image";
         Reply(R);
         continue;
       }
-      int ImgFd = Fds.front();
-      for (size_t I = 1; I < Fds.size(); ++I)
-        ::close(Fds[I]);
-      Fds.clear();
       auto Loaded = loadImage(ImgFd, Err);
       if (!Loaded) {
-        JobReply R;
-        R.Status = JobStatus::InternalError;
         R.Error = "executive: bad program image: " + Err;
         Reply(R);
         continue;
@@ -299,6 +291,6 @@ int service::executiveMain(int ChanFd) {
       BP = Programs.insert(K, std::move(Loaded));
     }
 
-    Reply(runAssignment(A, *BP));
+    Reply(runJob(A.Req, A.Attempt, JobProgram{BP, nullptr}));
   }
 }

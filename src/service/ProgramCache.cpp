@@ -112,7 +112,7 @@ ProgramCache::lookup(const std::string &Text, Strategy Strat, std::string &Err,
 
   // Serialize each lowered program into a sealed memfd for the executive
   // pool.  Failure (no memfd support) silently disables pooled dispatch
-  // for this entry; the fork-supervisor path still works.
+  // for this entry; one-shot executives still run it.
   std::string MemfdErr;
   if (Entry->LoweredPar) {
     std::string Img = bytecode::serializeProgram(*Entry->LoweredPar);

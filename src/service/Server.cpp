@@ -6,7 +6,6 @@
 #include "service/Executive.h"
 #include "support/Statistics.h"
 #include "support/Timing.h"
-#include "transform/Pipeline.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -15,7 +14,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fcntl.h>
-#include <new>
 #include <poll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -58,26 +56,14 @@ void setNonBlocking(int Fd) {
   ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK);
 }
 
-/// True when \p Buf starts with one complete frame.
-bool holdsCompleteFrame(const std::string &Buf) {
-  if (Buf.size() < 4)
-    return false;
-  uint32_t Len = 0;
-  for (int I = 0; I < 4; ++I)
-    Len |= static_cast<uint32_t>(static_cast<uint8_t>(Buf[I])) << (8 * I);
-  return Len >= 1 && Len <= kMaxFrameBytes && Buf.size() >= 4 + size_t(Len);
-}
-
 /// Binds + listens on \p Path with crash-only stale-socket reclaim: a
 /// daemon killed by SIGKILL leaves its socket file behind and a naive
 /// bind() fails with EADDRINUSE.  Probe the path first — a live daemon
 /// accepts the connect and we refuse to steal its socket; a dead one
-/// answers ECONNREFUSED and the stale file is reclaimed.  Shared by the
-/// single-process daemon and the shard parent.
+/// answers ECONNREFUSED and the stale file is reclaimed.
 int bindListenSocket(const std::string &Path, std::string &Err,
-                     bool *Reclaimed) {
-  if (Reclaimed)
-    *Reclaimed = false;
+                     bool &Reclaimed) {
+  Reclaimed = false;
   if (Path.empty()) {
     Err = "no socket path";
     return -1;
@@ -115,8 +101,7 @@ int bindListenSocket(const std::string &Path, std::string &Err,
       return -1;
     }
     ::unlink(Path.c_str());
-    if (Reclaimed)
-      *Reclaimed = true;
+    Reclaimed = true;
   }
   if (::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0) {
     Err = "bind " + Path + ": " + std::strerror(errno);
@@ -162,8 +147,7 @@ Server::Server(ServerOptions O)
 Server::~Server() {
   if (ListenFd >= 0) {
     ::close(ListenFd);
-    if (OwnsSocketFile)
-      ::unlink(Opts.SocketPath.c_str());
+    ::unlink(Opts.SocketPath.c_str());
   }
   for (int Fd : {SigPipe[0], SigPipe[1]})
     if (Fd >= 0)
@@ -173,31 +157,21 @@ Server::~Server() {
       ::close(PFd);
     ::close(Fd);
   }
-  for (auto &[Id, J] : Jobs)
-    if (J.ResultFd >= 0)
-      ::close(J.ResultFd);
   for (auto &[Id, E] : Pool)
     if (E.ChanFd >= 0)
       ::close(E.ChanFd);
 }
 
 bool Server::start(std::string &Err) {
-  if (Opts.InheritedListenFd >= 0) {
-    // Shard child: the parent bound the socket; we only accept on it (and
-    // must not unlink the shared socket file when we exit).
-    ListenFd = Opts.InheritedListenFd;
-    OwnsSocketFile = false;
-  } else {
-    bool Reclaimed = false;
-    ListenFd = bindListenSocket(Opts.SocketPath, Err, &Reclaimed);
-    if (ListenFd < 0)
-      return false;
-    if (Reclaimed) {
-      ++stat("socket_reclaimed");
-      if (Opts.Verbose)
-        std::fprintf(stderr, "[privateer-served] reclaimed stale socket %s\n",
-                     Opts.SocketPath.c_str());
-    }
+  bool Reclaimed = false;
+  ListenFd = bindListenSocket(Opts.SocketPath, Err, Reclaimed);
+  if (ListenFd < 0)
+    return false;
+  if (Reclaimed) {
+    ++stat("socket_reclaimed");
+    if (Opts.Verbose)
+      std::fprintf(stderr, "[privateer-served] reclaimed stale socket %s\n",
+                   Opts.SocketPath.c_str());
   }
 
   if (::pipe(SigPipe) < 0) {
@@ -221,7 +195,7 @@ bool Server::start(std::string &Err) {
   // client fds, empty cache) — the cheapest possible fork.
   for (unsigned I = 0; I < Opts.Executives; ++I) {
     std::string PoolErr;
-    if (!spawnExecutive(PoolErr)) {
+    if (!spawnExecutive(nullptr, PoolErr)) {
       Err = "executive pool: " + PoolErr;
       return false;
     }
@@ -238,8 +212,6 @@ bool Server::start(std::string &Err) {
 }
 
 int Server::serve(const ServerOptions &O) {
-  if (O.Shards > 1 && O.InheritedListenFd < 0)
-    return serveSharded(O);
   Server S(O);
   std::string Err;
   if (!S.start(Err)) {
@@ -249,110 +221,9 @@ int Server::serve(const ServerOptions &O) {
   return S.run();
 }
 
-int Server::serveSharded(const ServerOptions &O) {
-  std::string Err;
-  int Fd = bindListenSocket(O.SocketPath, Err, nullptr);
-  if (Fd < 0) {
-    std::fprintf(stderr, "privateer-served: %s\n", Err.c_str());
-    return 1;
-  }
+// --- Executives ----------------------------------------------------------
 
-  struct sigaction Sa{};
-  Sa.sa_handler = onSignal;
-  sigemptyset(&Sa.sa_mask);
-  Sa.sa_flags = SA_RESTART;
-  ::sigaction(SIGCHLD, &Sa, nullptr);
-  ::sigaction(SIGTERM, &Sa, nullptr);
-  ::sigaction(SIGINT, &Sa, nullptr);
-  ::signal(SIGPIPE, SIG_IGN);
-
-  auto SpawnShard = [&]() -> pid_t {
-    pid_t Pid = ::fork();
-    if (Pid == 0) {
-      ServerOptions CO = O;
-      CO.InheritedListenFd = Fd;
-      CO.Shards = 1;
-      GotSigTerm = 0;
-      GotSigInt = 0;
-      GotSigChld = 0;
-      ::_exit(Server::serve(CO));
-    }
-    return Pid;
-  };
-
-  std::vector<pid_t> Shards;
-  for (unsigned I = 0; I < O.Shards; ++I) {
-    pid_t Pid = SpawnShard();
-    if (Pid < 0) {
-      std::fprintf(stderr, "privateer-served: shard fork: %s\n",
-                   std::strerror(errno));
-      for (pid_t P : Shards)
-        ::kill(P, SIGKILL);
-      ::close(Fd);
-      ::unlink(O.SocketPath.c_str());
-      return 1;
-    }
-    Shards.push_back(Pid);
-  }
-  if (O.Verbose)
-    std::fprintf(stderr, "[privateer-served] shard parent: %u shards on %s\n",
-                 O.Shards, O.SocketPath.c_str());
-
-  bool Stopping = false;
-  int StopSig = 0;
-  int WorstExit = 0;
-  size_t Alive = Shards.size();
-  while (Alive > 0) {
-    if (!Stopping && (GotSigTerm || GotSigInt)) {
-      StopSig = GotSigInt ? SIGINT : SIGTERM;
-      GotSigTerm = 0;
-      GotSigInt = 0;
-      Stopping = true;
-      for (pid_t P : Shards)
-        if (P > 0)
-          ::kill(P, StopSig);
-    }
-    int St = 0;
-    pid_t Pid = ::waitpid(-1, &St, Stopping ? 0 : WNOHANG);
-    if (Pid > 0) {
-      auto It = std::find(Shards.begin(), Shards.end(), Pid);
-      if (It == Shards.end())
-        continue;
-      if (Stopping) {
-        *It = -1;
-        --Alive;
-        if (WIFEXITED(St) && WEXITSTATUS(St) != 0)
-          WorstExit = std::max(WorstExit, WEXITSTATUS(St));
-        if (WIFSIGNALED(St))
-          WorstExit = std::max(WorstExit, 1);
-        continue;
-      }
-      // A shard died underneath us: the others keep serving while a
-      // replacement comes up on the same listening fd.
-      if (O.Verbose)
-        std::fprintf(stderr, "[privateer-served] shard %d died, respawning\n",
-                     static_cast<int>(Pid));
-      *It = SpawnShard();
-      if (*It < 0) {
-        *It = -1;
-        --Alive;
-        WorstExit = std::max(WorstExit, 1);
-      }
-    } else if (Pid == 0) {
-      struct timespec Ts{0, 50 * 1000 * 1000};
-      ::nanosleep(&Ts, nullptr);
-    } else if (errno != EINTR) {
-      break;
-    }
-  }
-  ::close(Fd);
-  ::unlink(O.SocketPath.c_str());
-  return WorstExit;
-}
-
-// --- Executive pool ------------------------------------------------------
-
-bool Server::spawnExecutive(std::string &Err) {
+bool Server::spawnExecutive(Job *OneShot, std::string &Err) {
   int Sv[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, Sv) < 0) {
     Err = std::string("socketpair: ") + std::strerror(errno);
@@ -366,9 +237,10 @@ bool Server::spawnExecutive(std::string &Err) {
     return false;
   }
   if (Pid == 0) {
-    // Executive child: its own process group (deadline kills reach its
-    // worker tree without touching the daemon), default signals, and no
-    // daemon fds beyond its channel.
+    // Executive child: its own process group (one kill(-pid) reaches its
+    // whole worker tree without touching the daemon), default signals,
+    // and no daemon fds beyond its channel — a client or listener fd held
+    // here would outlive the daemon's close.
     ::setpgid(0, 0);
     ::signal(SIGTERM, SIG_DFL);
     ::signal(SIGINT, SIG_DFL);
@@ -382,13 +254,19 @@ bool Server::spawnExecutive(std::string &Err) {
         ::close(PFd);
     for (auto &[CFd, C] : Conns)
       ::close(CFd);
-    for (auto &[Id, J] : Jobs)
-      if (J.ResultFd >= 0)
-        ::close(J.ResultFd);
     for (auto &[Id, E] : Pool)
       if (E.ChanFd >= 0)
         ::close(E.ChanFd);
-    ::_exit(executiveMain(Sv[1]));
+    if (!OneShot)
+      ::_exit(executiveMain(Sv[1]));
+    // A one-shot runs the cached program it inherited copy-on-write: no
+    // image, no parse, and the IR module is at hand for the interpreter.
+    applyJobLimits(OneShot->Req);
+    JobReply R = runJob(OneShot->Req, OneShot->Attempt,
+                        JobProgram{nullptr, OneShot->Prog.get()});
+    std::string WErr;
+    bool Sent = writeFrame(Sv[1], MsgType::JobResult, encodeJobReply(R), WErr);
+    ::_exit(Sent ? 0 : 4); // 4: triaged as a truncated result
   }
   ::close(Sv[1]);
   ::setpgid(Pid, Pid);
@@ -398,8 +276,16 @@ bool Server::spawnExecutive(std::string &Err) {
   E.Pid = Pid;
   E.ChanFd = Sv[0];
   E.Frames = FrameAssembler(Opts.MaxFrameBytes);
+  if (OneShot) {
+    E.OneShot = true;
+    E.ActiveJob = OneShot->Id;
+    OneShot->ExecId = E.Id;
+    OneShot->Pid = Pid;
+    ++stat("supervisor_forks");
+  } else {
+    ++stat("executives_spawned");
+  }
   Pool.emplace(E.Id, std::move(E));
-  ++stat("executives_spawned");
   return true;
 }
 
@@ -413,7 +299,7 @@ void Server::respawnExecutive(uint64_t ExecId) {
   if (Draining)
     return;
   std::string Err;
-  if (spawnExecutive(Err)) {
+  if (spawnExecutive(nullptr, Err)) {
     ++stat("executives_respawned");
     if (Opts.Verbose)
       std::fprintf(stderr, "[privateer-served] executive %llu replaced\n",
@@ -456,19 +342,26 @@ void Server::shutdownPool() {
 
 Server::Executive *Server::idleExecutive() {
   for (auto &[Id, E] : Pool)
-    if (E.ActiveJob == 0 && E.ChanFd >= 0)
+    if (!E.OneShot && E.ActiveJob == 0 && E.ChanFd >= 0)
       return &E;
   return nullptr;
 }
 
+size_t Server::poolSize() const {
+  return std::count_if(Pool.begin(), Pool.end(),
+                       [](const auto &P) { return !P.second.OneShot; });
+}
+
 bool Server::poolEligible(const Job &J) const {
-  if (Opts.Executives == 0 || Pool.empty())
+  // Counting pooled executives, not Pool entries: a running one-shot must
+  // not make an Executives == 0 head wait for an idle executive forever.
+  if (poolSize() == 0)
     return false;
   // Interpreter-engine jobs need the IR module; only lowered bytecode
   // images travel to executives.
   if (J.Req.Engine != 0)
     return false;
-  // Per-job rlimits need a disposable process; executives are long-lived.
+  // Rlimits need a disposable process; pooled executives are long-lived.
   if (J.Req.MaxMemoryBytes != 0 || J.Req.MaxCpuSec != 0 ||
       J.Req.MaxOpenFiles != 0 || Opts.MaxMemoryBytes != 0 ||
       Opts.MaxCpuSec != 0 || Opts.MaxOpenFiles != 0)
@@ -500,7 +393,6 @@ bool Server::dispatchToExecutive(Job &J, Executive &E) {
     return false;
   }
   E.ActiveJob = J.Id;
-  J.Pooled = true;
   J.ExecId = E.Id;
   J.Pid = E.Pid;
   ++stat("pool_dispatches");
@@ -531,35 +423,34 @@ void Server::readExecutive(Executive &E) {
     FrameAssembler::Result R = E.Frames.next(Type, Body, Err);
     if (R == FrameAssembler::Result::NeedMore)
       break;
-    if (R == FrameAssembler::Result::Malformed || Type != MsgType::JobResult) {
-      Dead = true; // private channel corrupted: replace the executive
-      ::kill(E.Pid, SIGKILL);
-      break;
+    JobReply Reply;
+    bool Good = R == FrameAssembler::Result::Frame &&
+                Type == MsgType::JobResult && decodeJobReply(Body, Reply, Err);
+    if (!Good) {
+      // The private channel is corrupted: replace the executive, and
+      // answer its job as a truncated result (infra-class, retried).
+      Reply = JobReply();
+      Reply.Status = JobStatus::Crashed;
+      Reply.Cause = FailureCause::ResultTruncated;
+      Reply.Error = "executive result unreadable";
+      if (!Err.empty())
+        Reply.Error += ": " + Err;
+      Dead = true;
+      if (E.Pid > 0)
+        ::kill(E.Pid, SIGKILL);
     }
     auto It = Jobs.find(E.ActiveJob);
     E.ActiveJob = 0;
-    if (It == Jobs.end())
-      continue; // job vanished (canceled) while the reply was in flight
-    Job &J = It->second;
-    // Repackage as the raw frame finishJob expects in ResultBuf, so the
-    // pooled path reuses the supervisor path's decode/triage/retry logic
-    // verbatim (WaitStatus 0 == clean exit).
-    std::string Frame;
-    uint32_t Len = static_cast<uint32_t>(1 + Body.size());
-    for (int I = 0; I < 4; ++I)
-      Frame.push_back(static_cast<char>((Len >> (8 * I)) & 0xff));
-    Frame.push_back(static_cast<char>(MsgType::JobResult));
-    Frame.append(Body);
-    J.ResultBuf = std::move(Frame);
-    J.ResultEof = true;
-    J.Reaped = true;
-    J.WaitStatus = 0;
+    if (It != Jobs.end()) // else canceled while the reply was in flight
+      It->second.Reply = std::move(Reply);
+    if (!Good)
+      break;
   }
 
   if (Dead) {
-    // EOF or hard error: the executive is gone.  Its active job (if any)
-    // is triaged when SIGCHLD reaps the corpse; here we just stop polling
-    // the dead channel.
+    // EOF or hard error: the executive is gone (a one-shot, on purpose).
+    // A job still without a reply is triaged when SIGCHLD reaps the
+    // corpse; here we just stop polling the dead channel.
     ::close(E.ChanFd);
     E.ChanFd = -1;
   }
@@ -586,12 +477,10 @@ int Server::run() {
     checkDeadlines(Now);
     checkConnHealth(Now);
 
-    // Finalize any job whose supervisor is reaped and whose result pipe
-    // has either drained to EOF or already holds a complete frame.
+    // Finalize any job whose executive replied or died.
     std::vector<uint64_t> Done;
     for (auto &[Id, J] : Jobs)
-      if (J.Running && J.Reaped &&
-          (J.ResultEof || holdsCompleteFrame(J.ResultBuf)))
+      if (J.Running && (J.Reply || J.Reaped))
         Done.push_back(Id);
     for (uint64_t Id : Done) {
       auto It = Jobs.find(Id);
@@ -637,8 +526,7 @@ int Server::run() {
       if (ListenFd >= 0) {
         ::close(ListenFd);
         ListenFd = -1;
-        if (OwnsSocketFile)
-          ::unlink(Opts.SocketPath.c_str());
+        ::unlink(Opts.SocketPath.c_str());
       }
       if (Opts.Verbose)
         std::fprintf(stderr, "[privateer-served] drained, exiting\n");
@@ -646,7 +534,7 @@ int Server::run() {
     }
 
     std::vector<pollfd> Pfds;
-    std::vector<std::pair<char, uint64_t>> What; // ('l'|'s'|'c'|'r'|'e', key)
+    std::vector<std::pair<char, uint64_t>> What; // ('l'|'s'|'c'|'e', key)
     if (ListenFd >= 0) {
       Pfds.push_back({ListenFd, POLLIN, 0});
       What.push_back({'l', 0});
@@ -660,11 +548,6 @@ int Server::run() {
       Pfds.push_back({Fd, Ev, 0});
       What.push_back({'c', static_cast<uint64_t>(Fd)});
     }
-    for (auto &[Id, J] : Jobs)
-      if (J.Running && J.ResultFd >= 0 && !J.ResultEof) {
-        Pfds.push_back({J.ResultFd, POLLIN, 0});
-        What.push_back({'r', Id});
-      }
     for (auto &[Id, E] : Pool)
       if (E.ChanFd >= 0) {
         Pfds.push_back({E.ChanFd, POLLIN, 0});
@@ -726,26 +609,6 @@ int Server::run() {
         if (It == Pool.end() || It->second.ChanFd < 0)
           continue;
         readExecutive(It->second);
-      } else if (Kind == 'r') {
-        auto It = Jobs.find(What[I].second);
-        if (It == Jobs.end())
-          continue;
-        Job &J = It->second;
-        char Buf[64 << 10];
-        while (true) {
-          ssize_t N = ::read(J.ResultFd, Buf, sizeof(Buf));
-          if (N > 0) {
-            J.ResultBuf.append(Buf, static_cast<size_t>(N));
-            continue;
-          }
-          if (N == 0)
-            J.ResultEof = true;
-          else if (errno == EINTR)
-            continue;
-          else if (errno != EAGAIN && errno != EWOULDBLOCK)
-            J.ResultEof = true;
-          break;
-        }
       }
     }
     // Completed executives / refilled buckets may have opened dispatch
@@ -892,7 +755,7 @@ void Server::dropConn(int Fd, const char *Why) {
     if (JIt != Jobs.end()) {
       Job &J = JIt->second;
       if (J.Running) {
-        // Mid-invocation disconnect: kill the supervisor tree; the reap
+        // Mid-invocation disconnect: kill the executive's tree; the reap
         // path frees the admission slot and counts the cancellation.
         killJob(J, KillCause::ClientGone);
       } else {
@@ -1129,7 +992,7 @@ void Server::handleSubmit(Conn &C, const std::string &Body) {
     return;
   }
   if (Prog->Poisoned) {
-    // This exact program text already killed a supervisor with a
+    // This exact program text already killed an executive with a
     // deterministic program-class signal; answer from the cached negative
     // verdict instead of crashing another one.
     ++stat("negative_verdicts");
@@ -1222,67 +1085,26 @@ void Server::pumpQueue() {
 void Server::startJob(Job &J) {
   // Fast path: hand the job to a pre-warmed executive.  No fork, no
   // parse, no lowering — the sealed program image travels by fd.
+  bool Pooled = false;
   if (poolEligible(J)) {
     Executive *E = idleExecutive();
-    if (E && dispatchToExecutive(J, *E)) {
-      J.Running = true;
-      J.StartT = wallSeconds();
-      double DeadlineSec =
-          J.Req.DeadlineSec > 0 ? J.Req.DeadlineSec : Opts.DefaultDeadlineSec;
-      if (DeadlineSec > 0)
-        J.DeadlineAbs = J.StartT + DeadlineSec * timeoutScale();
-      WorkersInUse += J.Cost;
-      if (Opts.Verbose)
-        std::fprintf(stderr,
-                     "[privateer-served] job %llu -> executive %llu (%s, %u "
-                     "workers, cache %s)\n",
-                     static_cast<unsigned long long>(J.Id),
-                     static_cast<unsigned long long>(J.ExecId),
-                     J.Req.Mode == JobMode::Sequential ? "seq" : "spec",
-                     J.Req.NumWorkers, J.CacheHit ? "hit" : "miss");
-      return;
-    }
-    if (E)
+    Pooled = E && dispatchToExecutive(J, *E);
+    if (E && !Pooled)
       respawnExecutive(E->Id); // dispatch failed: channel is broken
   }
-
-  // Compatible path: per-job fork supervisor.  pipe/fork failures
-  // (EMFILE, EAGAIN/ENOMEM under load) are infra-class: they go through
-  // the retry ladder like any other resource exhaustion.
-  auto Infra = [&](const char *What) {
+  // Otherwise a one-shot executive.  socketpair/fork failures (EMFILE,
+  // EAGAIN/ENOMEM under load) are infra-class: they go through the retry
+  // ladder like any other resource exhaustion.
+  std::string Err;
+  if (!Pooled && !spawnExecutive(&J, Err)) {
     JobReply R;
     R.Status = JobStatus::InternalError;
     R.Cause = FailureCause::InfraFork;
-    R.Error = std::string(What) + ": " + std::strerror(errno);
+    R.Error = Err;
     retryOrFail(J, std::move(R));
-  };
-  int P[2];
-  if (::pipe2(P, O_CLOEXEC) < 0) {
-    Infra("pipe");
     return;
   }
-  pid_t Pid = ::fork();
-  if (Pid < 0) {
-    ::close(P[0]);
-    ::close(P[1]);
-    Infra("fork");
-    return;
-  }
-  if (Pid == 0) {
-    ::close(P[0]);
-    J.ResultFd = P[1];
-    runSupervisor(J); // never returns
-  }
-  ::close(P[1]);
-  ++stat("supervisor_forks");
-  // Mirror the child's setpgid so a kill(-pid) that races supervisor
-  // startup still finds the group.
-  ::setpgid(Pid, Pid);
-  setNonBlocking(P[0]);
   J.Running = true;
-  J.Pooled = false;
-  J.Pid = Pid;
-  J.ResultFd = P[0];
   J.StartT = wallSeconds();
   double DeadlineSec =
       J.Req.DeadlineSec > 0 ? J.Req.DeadlineSec : Opts.DefaultDeadlineSec;
@@ -1291,168 +1113,17 @@ void Server::startJob(Job &J) {
   WorkersInUse += J.Cost;
   if (Opts.Verbose)
     std::fprintf(stderr,
-                 "[privateer-served] job %llu -> supervisor %d (%s, %u "
+                 "[privateer-served] job %llu -> %s executive %llu (%s, %u "
                  "workers, cache %s)\n",
-                 static_cast<unsigned long long>(J.Id), Pid,
+                 static_cast<unsigned long long>(J.Id),
+                 Pooled ? "pooled" : "one-shot",
+                 static_cast<unsigned long long>(J.ExecId),
                  J.Req.Mode == JobMode::Sequential ? "seq" : "spec",
                  J.Req.NumWorkers, J.CacheHit ? "hit" : "miss");
 }
 
-void Server::runSupervisor(const Job &J) {
-  // Own process group: the daemon kills the whole worker tree with one
-  // kill(-pid) when the job is canceled or overruns its deadline.
-  ::setpgid(0, 0);
-  ::signal(SIGTERM, SIG_DFL);
-  ::signal(SIGINT, SIG_DFL);
-  ::signal(SIGCHLD, SIG_DFL);
-  ::signal(SIGPIPE, SIG_IGN);
-  SigWakeFd = -1;
-
-  // Drop every daemon fd except this job's result pipe.
-  if (ListenFd >= 0)
-    ::close(ListenFd);
-  for (int Fd : {SigPipe[0], SigPipe[1]})
-    if (Fd >= 0)
-      ::close(Fd);
-  for (auto &[Fd, C] : Conns)
-    ::close(Fd);
-  for (auto &[Id, Other] : Jobs)
-    if (Id != J.Id && Other.ResultFd >= 0)
-      ::close(Other.ResultFd);
-  for (auto &[Id, E] : Pool)
-    if (E.ChanFd >= 0)
-      ::close(E.ChanFd);
-
-  applySupervisorLimits(J.Req);
-
-  if (J.Req.FaultKillSupervisor)
-    ::raise(SIGKILL); // fault injection: die without a result
-  if (J.Req.FaultSupervisorSignal != 0) {
-    // Reset first: the daemon may have inherited the runtime's SIGSEGV
-    // speculation handler from an in-process training run.
-    ::signal(static_cast<int>(J.Req.FaultSupervisorSignal), SIG_DFL);
-    ::raise(static_cast<int>(J.Req.FaultSupervisorSignal));
-  }
-  if (J.Req.FaultSupervisorExit != kNoFaultExit)
-    ::_exit(static_cast<int>(J.Req.FaultSupervisorExit));
-  if (J.Req.FaultBurnCpuSec > 0) {
-    double End = cpuSeconds() + J.Req.FaultBurnCpuSec;
-    volatile uint64_t Sink = 0;
-    while (cpuSeconds() < End)
-      for (int I = 0; I < 4096; ++I)
-        Sink = Sink + static_cast<uint64_t>(I) * 2654435761u;
-  }
-
-  JobReply R;
-  R.CacheHit = J.CacheHit;
-  R.PipelineSec = J.CacheHit ? 0 : J.Prog->PipelineSec;
-
-  // Typed out-of-memory reporting: deliver a clean JobResult frame and
-  // exit 0 so the daemon triages the failure from the reply body, not from
-  // a corpse.  Both fault knobs below funnel through this path, as does
-  // any bad_alloc thrown during execution.
-  auto ReportOom = [&](const std::string &Why) {
-    R.Status = JobStatus::ResourceLimit;
-    R.Cause = FailureCause::OutOfMemory;
-    R.Error = Why;
-    std::string E2;
-    writeFrame(J.ResultFd, MsgType::JobResult, encodeJobReply(R), E2);
-    ::close(J.ResultFd);
-    ::_exit(0);
-  };
-  if (J.Attempt < J.Req.FaultOomAttempts)
-    ReportOom("fault injection: simulated allocation failure on attempt " +
-              std::to_string(J.Attempt + 1));
-  if (J.Req.FaultAllocBytes > 0) {
-    try {
-      // Direct operator call: a new[]/delete[] pair is elidable at -O3,
-      // which would silently defuse the fault.
-      void *P = ::operator new[](J.Req.FaultAllocBytes);
-      ::operator delete[](P);
-    } catch (const std::bad_alloc &) {
-      ReportOom("allocation of " + std::to_string(J.Req.FaultAllocBytes) +
-                " bytes failed (bad_alloc)");
-    }
-  }
-
-  char *OutBuf = nullptr;
-  size_t OutLen = 0;
-  std::FILE *Out = ::open_memstream(&OutBuf, &OutLen);
-  if (!Out)
-    ::_exit(3);
-
-  ParallelOptions Par;
-  Par.NumWorkers = J.Req.NumWorkers;
-  Par.CheckpointPeriod = J.Req.CheckpointPeriod;
-  Par.MaxSlotsPerEpoch = J.Req.MaxSlotsPerEpoch;
-  Par.InjectMisspecRate = J.Req.InjectMisspecRate;
-  Par.InjectSeed = J.Req.InjectSeed;
-  Par.EagerCommit = J.Req.EagerCommit;
-  // Honor PRIVATEER_TIMEOUT_SCALE here exactly like the per-job deadline:
-  // sanitizer builds run several-fold slower and the watchdog must not
-  // reap healthy workers.
-  Par.StallTimeoutSec = J.Req.StallTimeoutSec * timeoutScale();
-  Par.TracePath = J.Req.TracePath;
-  Par.Faults.Seed = J.Req.FaultSeed;
-  Par.Faults.KillWorker = J.Req.FaultKillWorker;
-  Par.Faults.KillAtIter = J.Req.FaultKillAtIter;
-  Par.Faults.StallWorker = J.Req.FaultStallWorker;
-  Par.Faults.StallAtIter = J.Req.FaultStallAtIter;
-  Par.Faults.StallSeconds = J.Req.FaultStallSeconds;
-  Par.Faults.KillRate = J.Req.FaultKillRate;
-  Par.Strat = static_cast<Strategy>(J.Req.Strat);
-  Par.NumStages = J.Req.NumStages;
-
-  transform::PipelineOptions PO;
-  PO.Engine = J.Req.Engine == 1 ? transform::ExecEngine::Interp
-                                : transform::ExecEngine::Bytecode;
-  PO.Strat = static_cast<Strategy>(J.Req.Strat);
-  PO.NumStages = J.Req.NumStages;
-
-  double T0 = wallSeconds();
-  try {
-    if (J.Req.Mode == JobMode::Sequential) {
-      interp::Cell V = transform::executeSequential(
-          *J.Prog->M, PO, Out, J.Prog->LoweredSeq.get());
-      R.ExitValue = V.asInt();
-      R.Status = JobStatus::Ok;
-    } else {
-      transform::ExecutionResult E = transform::executePrivatized(
-          *J.Prog->M, *J.Prog->FA, J.Prog->Pipeline.Assignment, PO, Par,
-          RuntimeConfig(), Out, J.Prog->LoweredPar.get());
-      R.ExitValue = E.ReturnValue.asInt();
-      R.Iterations = E.Stats.Iterations;
-      R.Checkpoints = E.Stats.Checkpoints;
-      R.Misspecs = E.Stats.Misspecs;
-      R.RecoveredIterations = E.Stats.RecoveredIterations;
-      R.ComUpdates = E.Stats.ComUpdates;
-      R.ComRecordsCommitted = E.Stats.ComRecordsCommitted;
-      R.MisspecReason = E.Stats.FirstMisspecReason;
-      R.Status = JobStatus::Ok;
-    }
-  } catch (const std::bad_alloc &) {
-    R.Status = JobStatus::ResourceLimit;
-    R.Cause = FailureCause::OutOfMemory;
-    R.Error = "out of memory (bad_alloc) during execution";
-  } catch (const std::exception &E) {
-    R.Status = JobStatus::InternalError;
-    R.Error = E.what();
-  }
-  R.ExecSec = wallSeconds() - T0;
-
-  std::fclose(Out);
-  R.Output.assign(OutBuf, OutLen);
-  std::free(OutBuf);
-
-  std::string Err;
-  if (!writeFrame(J.ResultFd, MsgType::JobResult, encodeJobReply(R), Err))
-    ::_exit(4);
-  ::close(J.ResultFd);
-  ::_exit(0);
-}
-
-void Server::applySupervisorLimits(const JobRequest &Req) {
-  // A crashing supervisor must not dump multi-GiB tagged heaps to disk.
+void Server::applyJobLimits(const JobRequest &Req) {
+  // A crashing executive must not dump multi-GiB tagged heaps to disk.
   rlimit Core{0, 0};
   ::setrlimit(RLIMIT_CORE, &Core);
   // Effective ceiling: the request can lower the daemon's default but
@@ -1491,51 +1162,47 @@ void Server::reapChildren() {
     pid_t Pid = ::waitpid(-1, &St, WNOHANG);
     if (Pid <= 0)
       return;
-    for (auto &[Id, J] : Jobs)
-      if (J.Running && J.Pid == Pid) {
-        J.Reaped = true;
-        J.WaitStatus = St;
-        // Drain whatever the supervisor managed to write.
-        char Buf[64 << 10];
-        while (J.ResultFd >= 0) {
-          ssize_t N = ::read(J.ResultFd, Buf, sizeof(Buf));
-          if (N > 0) {
-            J.ResultBuf.append(Buf, static_cast<size_t>(N));
-            continue;
-          }
-          if (N == 0)
-            J.ResultEof = true;
-          else if (errno == EINTR)
-            continue;
-          break;
-        }
-        if (J.Pooled)
-          J.ResultEof = true; // no pipe to wait for; triage from WaitStatus
-        break;
-      }
-    // A dead executive is replaced immediately; its active job (matched
-    // above through J.Pid) is triaged like any dead supervisor.
-    for (auto &[EId, E] : Pool)
-      if (E.Pid == Pid) {
-        respawnExecutive(EId);
-        break;
-      }
+    auto It = std::find_if(Pool.begin(), Pool.end(),
+                           [&](const auto &P) { return P.second.Pid == Pid; });
+    if (It == Pool.end())
+      continue;
+    Executive &E = It->second;
+    E.Pid = -1; // reaped: the pid may already belong to someone else
+    // An executive may write its reply and exit at once (a one-shot
+    // always does), so SIGCHLD can beat the channel's POLLIN: drain the
+    // channel first, or a good reply would be triaged as a corpse.
+    if (E.ChanFd >= 0)
+      readExecutive(E);
+    auto JIt = Jobs.find(E.ActiveJob);
+    if (JIt != Jobs.end()) {
+      JIt->second.Reaped = true;
+      JIt->second.WaitStatus = St;
+    }
+    if (!E.OneShot) {
+      respawnExecutive(It->first);
+    } else {
+      if (E.ChanFd >= 0)
+        ::close(E.ChanFd);
+      Pool.erase(It);
+    }
   }
 }
 
 void Server::checkDeadlines(double Now) {
   for (auto &[Id, J] : Jobs)
-    if (J.Running && !J.Reaped && J.Killed == KillCause::None &&
+    if (J.Running && !J.Reply && !J.Reaped && J.Killed == KillCause::None &&
         J.DeadlineAbs > 0 && Now > J.DeadlineAbs)
       killJob(J, KillCause::Deadline);
 }
 
 void Server::killJob(Job &J, KillCause Cause) {
-  if (!J.Running || J.Killed != KillCause::None)
+  // A job that already has its answer is past killing; its pooled
+  // executive may be running the next job by now.
+  if (!J.Running || J.Reply || J.Reaped || J.Killed != KillCause::None)
     return;
   J.Killed = Cause;
   if (J.Pid > 0) {
-    ::kill(-J.Pid, SIGKILL); // the whole supervisor process group
+    ::kill(-J.Pid, SIGKILL); // the executive's whole process group
     ::kill(J.Pid, SIGKILL);  // belt and braces if setpgid lost the race
   }
 }
@@ -1586,11 +1253,11 @@ JobReply Server::triageFailure(const Job &J) {
     if (Sig == SIGXCPU) {
       R.Status = JobStatus::ResourceLimit;
       R.Cause = FailureCause::CpuLimit;
-      R.Error = "supervisor exceeded its CPU budget (SIGXCPU)";
+      R.Error = "executive exceeded its CPU budget (SIGXCPU)";
     } else {
       R.Status = JobStatus::Crashed;
       R.Cause = FailureCause::Signal;
-      R.Error = std::string("supervisor killed by signal ") +
+      R.Error = std::string("executive killed by signal ") +
                 std::to_string(Sig);
       if (const char *Name = ::strsignal(Sig))
         R.Error += std::string(" (") + Name + ")";
@@ -1598,25 +1265,23 @@ JobReply Server::triageFailure(const Job &J) {
   } else if (WIFEXITED(St) && WEXITSTATUS(St) != 0) {
     int Code = WEXITSTATUS(St);
     R.SupExitCode = static_cast<uint32_t>(Code);
-    if (Code == 3 || Code == 4) {
-      // The supervisor's own _exit codes: open_memstream failed (3) or the
-      // result pipe write failed (4) — infrastructure, not the program.
+    if (Code == 4) {
+      // An executive's own _exit code for a failed reply write:
+      // infrastructure, not the program.
       R.Status = JobStatus::InternalError;
       R.Cause = FailureCause::ResultTruncated;
-      R.Error =
-          "supervisor could not deliver its result (exit " +
-          std::to_string(Code) + ")";
+      R.Error = "executive could not deliver its result (exit 4)";
     } else {
       R.Status = JobStatus::Crashed;
       R.Cause = FailureCause::NonzeroExit;
       R.Error =
-          "supervisor exited with status " + std::to_string(Code);
+          "executive exited with status " + std::to_string(Code);
     }
   } else {
-    // Exited 0 but the result frame never parsed.
+    // Exited 0 without a reply.
     R.Status = JobStatus::Crashed;
     R.Cause = FailureCause::ResultTruncated;
-    R.Error = "supervisor result truncated";
+    R.Error = "executive exited without a result";
   }
   return R;
 }
@@ -1638,15 +1303,9 @@ bool Server::retryOrFail(Job &J, JobReply R) {
     }
     J.Cost = J.Req.NumWorkers + 1;
     J.Running = false;
-    J.Pooled = false;
     J.ExecId = 0;
     J.Pid = -1;
-    if (J.ResultFd >= 0) {
-      ::close(J.ResultFd);
-      J.ResultFd = -1;
-    }
-    J.ResultBuf.clear();
-    J.ResultEof = false;
+    J.Reply.reset();
     J.Reaped = false;
     J.WaitStatus = 0;
     J.Killed = KillCause::None;
@@ -1690,18 +1349,9 @@ void Server::finishJob(Job &J) {
   Reg.real("service", "exec_sec") += Now - J.StartT;
   Reg.real("service", "queue_wait_sec") += J.StartT - J.SubmitT;
 
-  // Release this attempt's budget and pipe before anything else; a retry
+  // Release this attempt's budget before anything else; a retry
   // re-acquires admission at its (possibly smaller) degraded cost.
   WorkersInUse -= J.Cost;
-  if (J.ResultFd >= 0) {
-    ::close(J.ResultFd);
-    J.ResultFd = -1;
-  }
-  if (J.Pooled) {
-    auto EIt = Pool.find(J.ExecId);
-    if (EIt != Pool.end() && EIt->second.ActiveJob == J.Id)
-      EIt->second.ActiveJob = 0;
-  }
   tenantState(J.Tenant).Completed += 1;
 
   if (J.Killed == KillCause::ClientGone) {
@@ -1719,7 +1369,7 @@ void Server::finishJob(Job &J) {
       ++stat("jobs_timeout");
       R.Status = JobStatus::TimedOut;
       R.Cause = FailureCause::Deadline;
-      R.Error = "deadline exceeded; supervisor killed";
+      R.Error = "deadline exceeded; executive killed";
     } else {
       ++stat("jobs_canceled");
       R.Status = JobStatus::Canceled;
@@ -1736,25 +1386,18 @@ void Server::finishJob(Job &J) {
     return;
   }
 
-  // The supervisor finished on its own: decode its result frame, or triage
+  // The executive answered, or died trying: take its reply, or triage
   // its corpse into a typed failure.
-  FrameAssembler A(Opts.MaxFrameBytes);
-  A.feed(J.ResultBuf.data(), J.ResultBuf.size());
-  MsgType Type;
-  std::string Body, Err;
   JobReply R;
-  bool Clean = WIFEXITED(J.WaitStatus) && WEXITSTATUS(J.WaitStatus) == 0;
-  bool Decoded = Clean &&
-                 A.next(Type, Body, Err) == FrameAssembler::Result::Frame &&
-                 Type == MsgType::JobResult && decodeJobReply(Body, R, Err);
-  if (Decoded && J.Pooled)
-    // Executives don't know the daemon-side pipeline cost; patch it in so
-    // cold pooled replies carry the same accounting as supervisor ones.
-    R.PipelineSec = J.CacheHit || !J.Prog ? 0 : J.Prog->PipelineSec;
-  if (Decoded && R.Status == JobStatus::Ok) {
+  if (J.Reply) {
+    R = std::move(*J.Reply);
+    // Executives don't know the daemon-side pipeline cost; patch it in.
+    R.PipelineSec = J.CacheHit ? 0 : J.Prog->PipelineSec;
+  }
+  if (J.Reply && R.Status == JobStatus::Ok) {
     ++stat("jobs_completed");
-    // Jobs execute in supervisor/executive processes, so their runtime
-    // registries die with them; fold the reply's commutative-heap stats
+    // Jobs execute in executive processes, so their runtime registries
+    // die with them; fold the reply's commutative-heap stats
     // into the daemon registry so the status JSON aggregates them.
     StatisticRegistry::instance().counter("com", "updates") += R.ComUpdates;
     StatisticRegistry::instance().counter("com", "records-committed") +=
@@ -1770,13 +1413,13 @@ void Server::finishJob(Job &J) {
     pumpQueue();
     return;
   }
-  if (!Decoded) {
+  if (!J.Reply) {
     R = triageFailure(J);
     // Deterministic program-class crash signals poison the cached program:
     // resubmitting the same text answers from the negative verdict instead
-    // of crashing another supervisor.  External SIGKILL/SIGTERM say
+    // of crashing another executive.  External SIGKILL/SIGTERM say
     // nothing about the program and never poison.
-    if (J.Prog && R.Cause == FailureCause::Signal) {
+    if (R.Cause == FailureCause::Signal) {
       int Sig = static_cast<int>(R.TermSignal);
       if (Sig == SIGSEGV || Sig == SIGBUS || Sig == SIGABRT ||
           Sig == SIGFPE || Sig == SIGILL) {
@@ -1806,14 +1449,13 @@ void Server::beginDrain() {
   if (ListenFd >= 0) {
     ::close(ListenFd);
     ListenFd = -1;
-    if (OwnsSocketFile)
-      ::unlink(Opts.SocketPath.c_str());
+    ::unlink(Opts.SocketPath.c_str());
   }
 }
 
 void Server::beginShutdown() {
-  // Cancel the queues first so pumpQueue cannot start new supervisors as
-  // running jobs die.
+  // Cancel the queues first so pumpQueue cannot start new jobs as running
+  // ones die.
   for (auto &[TId, T] : Tenants) {
     for (uint64_t Id : T.Queue) {
       auto It = Jobs.find(Id);
@@ -1840,7 +1482,7 @@ std::string Server::statusJson() const {
   stat("cache_evictions") = Cache.evictions();
   size_t Idle = 0;
   for (const auto &[Id, E] : Pool)
-    if (E.ActiveJob == 0 && E.ChanFd >= 0)
+    if (!E.OneShot && E.ActiveJob == 0 && E.ChanFd >= 0)
       ++Idle;
   char Head[640];
   std::snprintf(Head, sizeof(Head),
@@ -1852,7 +1494,7 @@ std::string Server::statusJson() const {
                 static_cast<int>(::getpid()), wallSeconds() - StartTime,
                 Draining ? "true" : "false", queuedCount(),
                 Jobs.size() - queuedCount(), WorkersInUse, Opts.WorkerBudget,
-                Cache.size(), Pool.size(), Idle);
+                Cache.size(), poolSize(), Idle);
   std::string S(Head);
   S += "{";
   bool First = true;

@@ -8,27 +8,27 @@
 /// \file
 /// The persistent invocation service.  One single-threaded control plane
 /// (poll loop over the listening Unix socket, client connections, signal
-/// self-pipe, executive channels, and supervisor result pipes) owns the
-/// warm ProgramCache, a weighted-fair admission queue, a pool of
-/// pre-warmed executive processes, and — for jobs the pool cannot take —
-/// per-job supervisor processes.
+/// self-pipe, and executive channels) owns the warm ProgramCache, a
+/// weighted-fair admission queue, and the executives that run the jobs.
 ///
-/// Two execution paths:
+/// Every job runs in an executive (service/Executive.h): a child process
+/// that answers with one JobResult frame on its socketpair.
 ///
-///  - Executive pool (the fast path).  N executives are forked once at
-///    startup, each a blank process waiting on a private socketpair.  A
-///    warm job is dispatched as one ExecAssign frame whose program rides
+///  - Pooled executives (the fast path).  N are forked once at startup.
+///    A warm job is dispatched as one ExecAssign frame whose program rides
 ///    out-of-band: the ProgramCache's lowered bytecode, serialized into a
 ///    sealed memfd, handed over via SCM_RIGHTS.  The executive maps and
 ///    caches the image by (key, generation), so a warm hit pays no fork,
-///    no parse, and no lowering — just dispatch and execution.  An
-///    executive that crashes mid-job is triaged exactly like a dead
-///    supervisor (typed FailureCause, infra retry ladder, negative-verdict
-///    poisoning) and replaced.
+///    no parse, and no lowering — just dispatch and execution.
 ///
-///  - Fork supervisor (the compatible path).  Jobs the pool cannot run —
-///    interpreter engine, per-job rlimits, programs whose lowering
-///    declined — fork a per-job supervisor exactly as before.
+///  - One-shot executives.  Jobs the pool cannot run — interpreter
+///    engine, rlimits, programs whose lowering declined, or no pool —
+///    fork an executive at dispatch time that inherits the cached module
+///    copy-on-write, runs the one job and exits.
+///
+/// A dead executive is triaged from its wait status (typed FailureCause,
+/// infra retry ladder, negative-verdict poisoning); a pooled one is
+/// replaced.
 ///
 /// Admission is weighted fair queuing (start-time fair queuing over
 /// per-tenant FIFOs): each tenant carries a weight, a priority band, and
@@ -37,12 +37,6 @@
 /// With a single (anonymous) tenant this degenerates to exact FIFO.
 /// Backpressure is per-tenant: a full tenant queue answers Rejected
 /// without touching anyone else's budget.
-///
-/// Horizontal scaling: with Shards > 1 the parent binds the socket once,
-/// then forks N shard children that accept from the shared listening fd
-/// (kernel load-balances accepts); each shard is a full daemon with its
-/// own cache, pool, and queue.  The parent supervises and respawns
-/// shards, and forwards SIGTERM/SIGINT.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,6 +49,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <sys/types.h>
 #include <vector>
@@ -75,7 +70,7 @@ struct TenantConfig {
 struct ServerOptions {
   std::string SocketPath;
   /// Total concurrent processes across jobs (each job: NumWorkers + 1
-  /// supervisor/executive).  Requests that can never fit are rejected.
+  /// executive).  Requests that can never fit are rejected.
   unsigned WorkerBudget = 16;
   /// Bounded per-tenant admission queue (jobs waiting for budget).
   size_t QueueDepth = 16;
@@ -88,23 +83,18 @@ struct ServerOptions {
 
   // --- Horizontal scale ---------------------------------------------------
   /// Pre-warmed executive pool size; 0 disables the pool (every job forks
-  /// a supervisor, the PR 6 behavior — also the bench baseline).
+  /// a one-shot executive — also the bench baseline).
   unsigned Executives = 4;
-  /// Acceptor shards.  1 = single daemon process (default).  N > 1 forks
-  /// N full daemons sharing the listening socket.
-  unsigned Shards = 1;
   /// Static tenant table; unknown tenants get defaults on first submit.
   std::vector<TenantConfig> Tenants;
-  /// Shard child: accept on this inherited fd instead of binding.
-  int InheritedListenFd = -1;
 
-  // --- Supervisor resource governance (0 = unlimited) --------------------
-  /// Every supervisor (and its worker tree, which inherits the limits
-  /// across fork) runs under these rlimits; per-job requests can lower
-  /// but never raise them.  RLIMIT_CORE is always 0: a crashing
-  /// supervisor must not dump multi-GiB tagged heaps to disk.  Jobs with
-  /// any rlimit (daemon-wide or per-request) take the fork-supervisor
-  /// path: executives are long-lived and cannot wear per-job limits.
+  // --- Job resource governance (0 = unlimited) ---------------------------
+  /// A job with any rlimit (daemon-wide or per-request) runs in a one-shot
+  /// executive under these limits (its worker tree inherits them across
+  /// fork); pooled executives are long-lived and cannot wear per-job
+  /// limits.  Per-job requests can lower but never raise them.
+  /// RLIMIT_CORE is always 0: a crashing executive must not dump
+  /// multi-GiB tagged heaps to disk.
   uint64_t MaxMemoryBytes = 0; ///< RLIMIT_AS
   uint32_t MaxCpuSec = 0;      ///< RLIMIT_CPU (scaled by timeoutScale())
   uint32_t MaxOpenFiles = 0;   ///< RLIMIT_NOFILE
@@ -136,9 +126,9 @@ public:
   Server(const Server &) = delete;
   Server &operator=(const Server &) = delete;
 
-  /// Binds and listens on Opts.SocketPath (or adopts InheritedListenFd),
-  /// installs signal handlers (SIGTERM -> drain, SIGINT -> shutdown,
-  /// SIGCHLD -> reap), and pre-forks the executive pool.
+  /// Binds and listens on Opts.SocketPath, installs signal handlers
+  /// (SIGTERM -> drain, SIGINT -> shutdown, SIGCHLD -> reap), and
+  /// pre-forks the executive pool.
   bool start(std::string &Err);
 
   /// Serves until drained / shut down.  Returns the process exit code.
@@ -146,8 +136,6 @@ public:
 
   /// start() + run() + perror, for forked daemon children in tests and
   /// bench harnesses: `if (fork() == 0) _exit(Server::serve(Opts));`
-  /// With Opts.Shards > 1 this becomes the shard parent: it binds once,
-  /// forks the shards, supervises them, and returns when they exit.
   static int serve(const ServerOptions &Opts);
 
 private:
@@ -164,7 +152,8 @@ private:
     /// wallSeconds() of the last write progress while Out was nonempty;
     /// 0 when Out is empty.
     double LastWriteProgress = 0;
-    /// Negotiated by Hello (v4); v2/v3 connections keep the defaults.
+    /// Negotiated by the optional Hello; connections without one keep the
+    /// defaults.
     std::string Tenant;
     bool MemfdOk = false;
     /// SCM_RIGHTS descriptors received but not yet claimed by a SubmitJob
@@ -182,14 +171,11 @@ private:
     std::shared_ptr<CachedProgram> Prog;
     bool CacheHit = false;
     bool Running = false;
-    /// Dispatched to a pooled executive (Pid is the executive's; result
-    /// arrives on its channel, not a per-job pipe).
-    bool Pooled = false;
-    uint64_t ExecId = 0; ///< owning executive when Pooled
-    pid_t Pid = -1;
-    int ResultFd = -1;
-    std::string ResultBuf;
-    bool ResultEof = false;
+    uint64_t ExecId = 0; ///< the executive running this attempt
+    pid_t Pid = -1;      ///< that executive's pid (and process group)
+    /// The executive's reply, once its JobResult frame has arrived.
+    std::optional<JobReply> Reply;
+    /// The executive died before replying; WaitStatus says how.
     bool Reaped = false;
     int WaitStatus = 0;
     KillCause Killed = KillCause::None;
@@ -205,13 +191,16 @@ private:
     unsigned Attempt = 0;
   };
 
-  /// One pre-warmed executive process and its dispatch channel.
+  /// One executive process and its channel.
   struct Executive {
     uint64_t Id = 0;
     pid_t Pid = -1;
     int ChanFd = -1; ///< daemon end of the socketpair
     FrameAssembler Frames;
-    uint64_t ActiveJob = 0; ///< 0 = idle
+    uint64_t ActiveJob = 0; ///< 0 = idle (or a one-shot that has replied)
+    /// Forked for one job: never idle, never respawned, not counted in
+    /// the pool.
+    bool OneShot = false;
   };
 
   /// Per-tenant WFQ state: FIFO queue, fair-queuing tags, token bucket,
@@ -239,16 +228,19 @@ private:
   void dropConn(int Fd, const char *Why);
   void protocolError(Conn &C, const std::string &Why);
 
-  // Executive pool.
-  bool spawnExecutive(std::string &Err);
+  // Executives.
+  /// Forks a pooled executive, or — with \p OneShot — an executive that
+  /// runs that job once and exits.
+  bool spawnExecutive(Job *OneShot, std::string &Err);
   void respawnExecutive(uint64_t ExecId);
   void shutdownPool();
   Executive *idleExecutive();
-  /// True when the pool can run \p J: bytecode engine, lowered image
-  /// available for the requested mode, and no per-job rlimits.
+  size_t poolSize() const;
+  /// True when the pool can run \p J: a pool exists, bytecode engine,
+  /// lowered image available for the requested mode, and no rlimits.
   bool poolEligible(const Job &J) const;
   /// Hands \p J to \p E (ExecAssign + image fd).  False on send failure —
-  /// the executive is respawned and the caller falls back to a fork.
+  /// the executive is respawned and the caller falls back to a one-shot.
   bool dispatchToExecutive(Job &J, Executive &E);
 
   // WFQ admission.
@@ -262,12 +254,11 @@ private:
   // Job lifecycle.
   void pumpQueue();
   void startJob(Job &J);
-  [[noreturn]] void runSupervisor(const Job &J);
-  void applySupervisorLimits(const JobRequest &Req);
+  void applyJobLimits(const JobRequest &Req);
   void reapChildren();
   void finishJob(Job &J);
-  /// Decodes the supervisor's wait status / result frame into a typed
-  /// failure reply (Cause, TermSignal, SupExitCode).
+  /// Decodes a dead executive's wait status into a typed failure reply
+  /// (Cause, TermSignal, SupExitCode).
   JobReply triageFailure(const Job &J);
   /// Requeues an infra-failed job with a degraded config, or — when the
   /// retry budget is spent or the cause is program-class — sends \p R as
@@ -287,14 +278,9 @@ private:
   void flushConn(Conn &C);
   uint64_t &stat(const char *Name) const;
 
-  /// Shard parent: bind once, fork Opts.Shards children on the shared
-  /// listening socket, supervise and respawn them.
-  static int serveSharded(const ServerOptions &Opts);
-
   ServerOptions Opts;
   ProgramCache Cache;
   int ListenFd = -1;
-  bool OwnsSocketFile = true; ///< false in shard children
   int SigPipe[2] = {-1, -1};
   bool Draining = false;
   double StartTime = 0;

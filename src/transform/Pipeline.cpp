@@ -229,8 +229,6 @@ ExecutionResult transform::executePrivatized(
     const PipelineOptions &Opt, const ParallelOptions &ParOpts,
     const RuntimeConfig &Config, std::FILE *Out,
     const bytecode::BytecodeProgram *Prelowered) {
-  const Loop *L = HA.TheLoop;
-
   // Engine selection before the runtime comes up: lower (or accept the
   // cache's prelowered program), falling back to the interpreter when the
   // lowerer declines.
@@ -245,40 +243,20 @@ ExecutionResult transform::executePrivatized(
       BP = Owned.get();
     }
   }
+  if (BP)
+    return executeLoadedParallel(*BP, Opt, ParOpts, Config, Out);
 
   Runtime &Rt = Runtime::get();
   Rt.initialize(Config);
   Rt.setSequentialOutput(Out);
 
   ExecutionResult R;
-  R.EngineUsed = BP ? ExecEngine::Bytecode : ExecEngine::Interp;
-  if (Opt.Engine == ExecEngine::Bytecode && !BP)
+  R.EngineUsed = ExecEngine::Interp;
+  if (Opt.Engine == ExecEngine::Bytecode)
     R.EngineNote = "bytecode lowering fell back to interpreter: " +
                    EngineNote;
-  if (BP) {
-    PrivateerMemoryManager MM;
-    bytecode::VM Vm(*BP, MM);
-    bytecode::VM::ParallelPlan Plan;
-    Plan.Options = ParOpts;
-    Plan.Options.Out = Out;
-    Plan.Options.NumDepChannels =
-        std::max(Plan.Options.NumDepChannels, BP->NumDepChannels);
-    Plan.Options.DepDistance = std::max<uint32_t>(
-        Plan.Options.DepDistance,
-        static_cast<uint32_t>(HA.DoacrossMinDistance));
-    Vm.setParallelPlan(&Plan);
-    Vm.initializeGlobals();
-    for (const bytecode::BcReduxGlobal &RG : BP->ReduxGlobals)
-      Rt.registerReduction(
-          reinterpret_cast<void *>(Vm.globalAddress(RG.GlobalIdx)),
-          BP->Globals[RG.GlobalIdx].SizeBytes, RG.Elem, RG.Op);
-    for (const bytecode::BcComGlobal &CG : BP->ComGlobals)
-      Rt.registerCommutative(
-          reinterpret_cast<void *>(Vm.globalAddress(CG.GlobalIdx)),
-          BP->Globals[CG.GlobalIdx].SizeBytes, CG.Op, CG.ElemBytes);
-    R.ReturnValue = Vm.run(Opt.EntryFunction, Opt.EntryArgs);
-    R.Stats = Plan.Stats;
-  } else {
+  {
+    const Loop *L = HA.TheLoop;
     PrivateerMemoryManager MM;
     Interpreter Interp(M, MM);
     Interpreter::ParallelPlan Plan;
@@ -291,9 +269,6 @@ ExecutionResult transform::executePrivatized(
     Plan.Options.Out = Out;
     Plan.Options.NumDepChannels =
         std::max(Plan.Options.NumDepChannels, HA.DoacrossChannels);
-    Plan.Options.DepDistance = std::max<uint32_t>(
-        Plan.Options.DepDistance,
-        static_cast<uint32_t>(HA.DoacrossMinDistance));
     Interp.setParallelPlan(&Plan);
     Interp.initializeGlobals();
 
@@ -395,23 +370,18 @@ Cell transform::executeSequential(Module &M, const PipelineOptions &Opt,
   }
   if (EngineUsed)
     *EngineUsed = BP ? ExecEngine::Bytecode : ExecEngine::Interp;
+  if (BP)
+    return executeLoadedSequential(*BP, Opt, Out);
 
   Runtime &Rt = Runtime::get();
-  bool OwnRuntime = !Rt.isInitialized();
   Rt.setSequentialOutput(Out);
   Cell Result;
-  if (BP) {
-    PlainMemoryManager MM;
-    bytecode::VM Vm(*BP, MM);
-    Vm.initializeGlobals();
-    Result = Vm.run(Opt.EntryFunction, Opt.EntryArgs);
-  } else {
+  {
     PlainMemoryManager MM;
     Interpreter Interp(M, MM);
     Interp.initializeGlobals();
     Result = Interp.run(Opt.EntryFunction, Opt.EntryArgs);
   }
   Rt.setSequentialOutput(nullptr);
-  (void)OwnRuntime;
   return Result;
 }

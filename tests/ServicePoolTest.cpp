@@ -11,6 +11,7 @@
 
 #include "ServiceTestUtil.h"
 #include "ir/IRParser.h"
+#include "runtime/HeapKind.h" // PRIVATEER_ASAN
 #include "service/Client.h"
 #include "service/Protocol.h"
 #include "transform/Pipeline.h"
@@ -34,6 +35,36 @@ JobRequest quickJob(unsigned Salt = 1000) {
   Req.ModuleText = reductionSumIrText(Salt);
   Req.NumWorkers = 2;
   return Req;
+}
+
+/// The program's output from a plain in-process sequential run (empty if
+/// it does not parse).
+std::string sequentialOutput(const std::string &Text) {
+  std::string PErr;
+  auto M = ir::parseModule(Text, PErr);
+  if (!M)
+    return "";
+  char *Buf = nullptr;
+  size_t Len = 0;
+  std::FILE *Out = open_memstream(&Buf, &Len);
+  transform::executeSequential(*M, transform::PipelineOptions(), Out);
+  std::fclose(Out);
+  std::string S(Buf, Len);
+  std::free(Buf);
+  return S;
+}
+
+/// Puts \p Req under an rlimit, which sends it to a one-shot executive.
+/// RLIMIT_AS at 8 GiB is the production case (the daemon benchmark's
+/// rlimited jobs); under ASan the shadow reservation alone exceeds any
+/// address-space cap, so sanitizer builds cap descriptors instead, which
+/// takes the same path.
+void limitJob(JobRequest &Req) {
+#if PRIVATEER_ASAN
+  Req.MaxOpenFiles = 1024;
+#else
+  Req.MaxMemoryBytes = 8ULL << 30;
+#endif
 }
 
 /// A job that holds its execution slot for ~\p BurnSec of cpu time before
@@ -93,19 +124,7 @@ TEST(ServicePool, DoacrossWarmHitsReplayImage) {
   ASSERT_TRUE(D.forked());
 
   const std::string Text = scalarCarryIrText(300);
-  std::string Expected;
-  {
-    std::string PErr;
-    auto M = ir::parseModule(Text, PErr);
-    ASSERT_NE(M, nullptr) << PErr;
-    char *Buf = nullptr;
-    size_t Len = 0;
-    std::FILE *Out = open_memstream(&Buf, &Len);
-    transform::executeSequential(*M, transform::PipelineOptions(), Out);
-    std::fclose(Out);
-    Expected.assign(Buf, Len);
-    std::free(Buf);
-  }
+  const std::string Expected = sequentialOutput(Text);
   ASSERT_FALSE(Expected.empty());
 
   service::Client C;
@@ -151,19 +170,7 @@ TEST(ServicePool, CommutativeWarmHitsReplayImage) {
   ASSERT_TRUE(D.forked());
 
   const std::string Text = histogramIrText(600, 128, 4);
-  std::string Expected;
-  {
-    std::string PErr;
-    auto M = ir::parseModule(Text, PErr);
-    ASSERT_NE(M, nullptr) << PErr;
-    char *Buf = nullptr;
-    size_t Len = 0;
-    std::FILE *Out = open_memstream(&Buf, &Len);
-    transform::executeSequential(*M, transform::PipelineOptions(), Out);
-    std::fclose(Out);
-    Expected.assign(Buf, Len);
-    std::free(Buf);
-  }
+  const std::string Expected = sequentialOutput(Text);
   ASSERT_FALSE(Expected.empty());
 
   service::Client C;
@@ -262,6 +269,125 @@ TEST(ServicePool, SigtermDrainsPoolAndExitsZero) {
   JobReply R2;
   ASSERT_TRUE(C2.submit(quickJob(), R2, Err, 300 * timeoutScale())) << Err;
   EXPECT_EQ(R2.Status, JobStatus::Ok) << R2.Error;
+}
+
+// A one-shot executive writes its reply and exits at once, so the daemon
+// can handle SIGCHLD before it reads the reply off the channel.  Forty
+// rlimited jobs back to back on one connection, then forty more over four
+// concurrent connections: every one must come back Ok on its first
+// attempt with byte-exact output — none triaged as a truncated result —
+// from exactly one one-shot fork per job, with the pool left intact.
+TEST(ServicePool, OneShotRepliesSurviveEarlyReap) {
+  ServerOptions Opts;
+  Opts.SocketPath = uniqueSocketPath();
+  Opts.Executives = 2;
+  Opts.QueueDepth = 64;
+  ForkedDaemon D(Opts);
+  ASSERT_TRUE(D.forked());
+
+  JobRequest Req = quickJob(1200);
+  limitJob(Req);
+  const std::string Expected = sequentialOutput(Req.ModuleText);
+  ASSERT_FALSE(Expected.empty());
+
+  constexpr int Jobs = 40;
+  auto RunJobs = [&](int Count, std::string &FirstErr) {
+    service::Client C;
+    std::string Err;
+    if (!C.connect(D.socket(), Err, 10 * timeoutScale())) {
+      FirstErr = "connect: " + Err;
+      return;
+    }
+    for (int I = 0; I < Count; ++I) {
+      JobReply R;
+      if (!C.submit(Req, R, Err, 300 * timeoutScale())) {
+        FirstErr = "submit: " + Err;
+        return;
+      }
+      if (R.Status != JobStatus::Ok || R.Attempts != 1 ||
+          R.Output != Expected) {
+        FirstErr = "job " + std::to_string(I) + ": " +
+                   jobStatusName(R.Status) + " (" +
+                   failureCauseName(R.Cause) + ") after " +
+                   std::to_string(R.Attempts) + " attempts: " + R.Error;
+        return;
+      }
+    }
+  };
+
+  std::string Err;
+  RunJobs(Jobs, Err);
+  ASSERT_TRUE(Err.empty()) << Err;
+
+  std::vector<std::string> Errs(4);
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < 4; ++T)
+    Threads.emplace_back([&, T] { RunJobs(Jobs / 4, Errs[T]); });
+  for (auto &T : Threads)
+    T.join();
+  for (const std::string &E : Errs)
+    EXPECT_TRUE(E.empty()) << E;
+
+  service::Client C;
+  std::string Json;
+  ASSERT_TRUE(C.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
+  ASSERT_TRUE(C.status(Json, Err)) << Err;
+  EXPECT_EQ(jsonInt(Json, "jobs_completed"), 2 * Jobs) << Json;
+  EXPECT_EQ(jsonInt(Json, "supervisor_forks"), 2 * Jobs) << Json;
+  EXPECT_EQ(jsonInt(Json, "retries"), 0) << Json;
+  EXPECT_EQ(jsonInt(Json, "pool_dispatches"), 0) << Json;
+  EXPECT_EQ(jsonInt(Json, "executives"), 2) << Json;
+  EXPECT_EQ(jsonInt(Json, "executives_spawned"), 2) << Json;
+  EXPECT_EQ(jsonInt(Json, "workers_in_use"), 0) << Json;
+  ASSERT_TRUE(D.alive());
+}
+
+// One runner: the same program answers identically from a pooled
+// executive and from a one-shot, and an interpreter-engine job — which
+// the pool cannot take — runs through a one-shot as well.
+TEST(ServicePool, OneShotAndPooledRunsAgree) {
+  ServerOptions Opts;
+  Opts.SocketPath = uniqueSocketPath();
+  Opts.Executives = 2;
+  ForkedDaemon D(Opts);
+  ASSERT_TRUE(D.forked());
+
+  service::Client C;
+  std::string Err;
+  ASSERT_TRUE(C.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
+
+  JobRequest Pooled;
+  Pooled.ModuleText = histogramIrText(600, 128, 4);
+  Pooled.NumWorkers = 4;
+  JobRequest OneShot = Pooled;
+  limitJob(OneShot);
+  JobRequest Interp = Pooled;
+  Interp.Engine = 1;
+
+  JobReply P, O, I;
+  ASSERT_TRUE(C.submit(Pooled, P, Err, 300 * timeoutScale())) << Err;
+  ASSERT_EQ(P.Status, JobStatus::Ok) << P.Error;
+  EXPECT_EQ(P.Output, sequentialOutput(Pooled.ModuleText));
+  EXPECT_GT(P.ComUpdates, 0u);
+  for (auto [Req, R] : {std::pair{&OneShot, &O}, std::pair{&Interp, &I}}) {
+    SCOPED_TRACE(Req->Engine == 1 ? "interpreter" : "rlimited");
+    ASSERT_TRUE(C.submit(*Req, *R, Err, 300 * timeoutScale())) << Err;
+    ASSERT_EQ(R->Status, JobStatus::Ok) << R->Error;
+    EXPECT_EQ(R->Output, P.Output);
+    EXPECT_EQ(R->ExitValue, P.ExitValue);
+    EXPECT_EQ(R->Iterations, P.Iterations);
+    EXPECT_EQ(R->Checkpoints, P.Checkpoints);
+    EXPECT_EQ(R->Misspecs, P.Misspecs);
+    EXPECT_EQ(R->ComUpdates, P.ComUpdates);
+    EXPECT_EQ(R->ComRecordsCommitted, P.ComRecordsCommitted);
+  }
+
+  std::string Json;
+  ASSERT_TRUE(C.status(Json, Err)) << Err;
+  EXPECT_EQ(jsonInt(Json, "pool_dispatches"), 1) << Json;
+  EXPECT_EQ(jsonInt(Json, "supervisor_forks"), 2) << Json;
+  EXPECT_EQ(jsonInt(Json, "executives"), 2) << Json;
+  ASSERT_TRUE(D.alive());
 }
 
 /// Runs the WFQ contention experiment: jobs are submitted in \p Order

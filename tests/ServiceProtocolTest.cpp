@@ -351,161 +351,47 @@ TEST(ServiceProtocol, DaemonSurvivesGarbageAndKeepsServing) {
   EXPECT_EQ(jsonInt(Json, "pid"), D.pid());
 }
 
-// --- Cross-version compatibility -----------------------------------------
+// --- One protocol version ------------------------------------------------
 //
-// The wire encodings of protocol v2 (no Engine byte) and v3 (Engine, no
-// tenant/submit tail) are pinned here byte-for-byte; a v4 daemon must
-// decode both with the documented defaults, and must reject versions
-// outside [kMinProtocolVersion, kProtocolVersion].
-
-void putU8(std::string &B, uint8_t V) { B.push_back(static_cast<char>(V)); }
-void putU32(std::string &B, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    B.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-void putU64(std::string &B, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    B.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-void putF64(std::string &B, double V) {
-  uint64_t Bits;
-  std::memcpy(&Bits, &V, 8);
-  putU64(B, Bits);
-}
-void putStr(std::string &B, const std::string &S) {
-  putU32(B, static_cast<uint32_t>(S.size()));
-  B += S;
-}
-
-/// Encodes \p R exactly as a v2 or v3 client would have.
-std::string encodeLegacyRequest(const JobRequest &R, uint8_t Version) {
-  std::string B;
-  putU8(B, Version);
-  putStr(B, R.ModuleText);
-  putU8(B, static_cast<uint8_t>(R.Mode));
-  if (Version >= 3)
-    putU8(B, R.Engine);
-  putU32(B, R.NumWorkers);
-  putU64(B, R.CheckpointPeriod);
-  putU64(B, R.MaxSlotsPerEpoch);
-  putF64(B, R.InjectMisspecRate);
-  putU64(B, R.InjectSeed);
-  putU8(B, R.EagerCommit ? 1 : 0);
-  putF64(B, R.StallTimeoutSec);
-  putF64(B, R.DeadlineSec);
-  putStr(B, R.TracePath);
-  putU64(B, R.IdempotencyKey);
-  putU64(B, R.MaxMemoryBytes);
-  putU32(B, R.MaxCpuSec);
-  putU32(B, R.MaxOpenFiles);
-  putU8(B, R.FaultKillSupervisor ? 1 : 0);
-  putU32(B, R.FaultKillWorker);
-  putU64(B, R.FaultKillAtIter);
-  putU32(B, R.FaultStallWorker);
-  putU64(B, R.FaultStallAtIter);
-  putF64(B, R.FaultStallSeconds);
-  putF64(B, R.FaultKillRate);
-  putU64(B, R.FaultSeed);
-  putU32(B, R.FaultSupervisorSignal);
-  putU32(B, R.FaultSupervisorExit);
-  putU32(B, R.FaultOomAttempts);
-  putU64(B, R.FaultAllocBytes);
-  putF64(B, R.FaultBurnCpuSec);
-  if (Version >= 4) {
-    putStr(B, R.TenantId);
-    putU8(B, R.Submit);
-  }
-  return B;
-}
+// Every SubmitJob, JobResult, Hello and HelloReply body carries exactly
+// kProtocolVersion; older layouts (v2 had no Engine byte, v3 no tenant, v4
+// no strategy) and future ones are rejected outright, never reinterpreted.
 
 TEST(ServiceProtocol, CrossVersionRequestsDecode) {
-  JobRequest In = sampleRequest();
-  In.Engine = 1;
-
-  // v2: Engine defaults to the bytecode VM, tenancy to anonymous in-band.
+  const std::string Req = encodeJobRequest(sampleRequest());
+  const std::string Rep = encodeJobReply(sampleReply());
+  const std::string Hel = encodeHello(HelloRequest());
+  const std::string HRep = encodeHelloReply(HelloReply());
   {
     JobRequest Out;
     std::string Err;
-    ASSERT_TRUE(decodeJobRequest(encodeLegacyRequest(In, 2), Out, Err))
-        << Err;
-    EXPECT_EQ(Out.ModuleText, In.ModuleText);
-    EXPECT_EQ(Out.Mode, In.Mode);
-    EXPECT_EQ(Out.Engine, 0) << "v2 has no Engine byte";
-    EXPECT_EQ(Out.NumWorkers, In.NumWorkers);
-    EXPECT_EQ(Out.IdempotencyKey, In.IdempotencyKey);
-    EXPECT_DOUBLE_EQ(Out.FaultBurnCpuSec, In.FaultBurnCpuSec);
-    EXPECT_TRUE(Out.TenantId.empty());
-    EXPECT_EQ(Out.Submit, static_cast<uint8_t>(SubmitMode::InBand));
+    ASSERT_TRUE(decodeJobRequest(Req, Out, Err)) << Err;
   }
 
-  // v3: Engine travels, tenancy still defaults.
-  {
-    JobRequest Out;
+  for (uint8_t V : {uint8_t(0), uint8_t(1), uint8_t(2), uint8_t(3),
+                    uint8_t(4), uint8_t(kProtocolVersion + 1)}) {
+    SCOPED_TRACE("version " + std::to_string(V));
+    auto WithVersion = [V](std::string Body) {
+      Body[0] = static_cast<char>(V);
+      return Body;
+    };
     std::string Err;
-    ASSERT_TRUE(decodeJobRequest(encodeLegacyRequest(In, 3), Out, Err))
-        << Err;
-    EXPECT_EQ(Out.Engine, In.Engine);
-    EXPECT_TRUE(Out.TenantId.empty());
-    EXPECT_EQ(Out.Submit, static_cast<uint8_t>(SubmitMode::InBand));
-  }
-
-  // v4: tenancy travels, scheduling strategy defaults to DOALL.
-  {
-    JobRequest Out;
-    std::string Err;
-    ASSERT_TRUE(decodeJobRequest(encodeLegacyRequest(In, 4), Out, Err))
-        << Err;
-    EXPECT_EQ(Out.TenantId, In.TenantId);
-    EXPECT_EQ(Out.Submit, In.Submit);
-    EXPECT_EQ(Out.Strat, static_cast<uint8_t>(Strategy::Doall))
-        << "v4 has no strategy byte";
-    EXPECT_EQ(Out.NumStages, 0u);
-  }
-
-  // Versions outside the supported window are rejected outright.
-  for (uint8_t V : {uint8_t(0), uint8_t(1), uint8_t(kProtocolVersion + 1)}) {
-    std::string Body = encodeJobRequest(In);
-    Body[0] = static_cast<char>(V);
-    JobRequest Out;
-    std::string Err;
-    EXPECT_FALSE(decodeJobRequest(Body, Out, Err)) << "version " << int(V);
+    JobRequest OutReq;
+    EXPECT_FALSE(decodeJobRequest(WithVersion(Req), OutReq, Err));
+    EXPECT_NE(Err.find("version"), std::string::npos) << Err;
+    Err.clear();
+    JobReply OutRep;
+    EXPECT_FALSE(decodeJobReply(WithVersion(Rep), OutRep, Err));
+    EXPECT_NE(Err.find("version"), std::string::npos) << Err;
+    Err.clear();
+    HelloRequest OutHel;
+    EXPECT_FALSE(decodeHello(WithVersion(Hel), OutHel, Err));
+    EXPECT_NE(Err.find("version"), std::string::npos) << Err;
+    Err.clear();
+    HelloReply OutHRep;
+    EXPECT_FALSE(decodeHelloReply(WithVersion(HRep), OutHRep, Err));
     EXPECT_NE(Err.find("version"), std::string::npos) << Err;
   }
-}
-
-// A byte-exact v2 client frame against a live v4 daemon: served in-band,
-// reply decodable, output correct.
-TEST(ServiceProtocol, LegacyV2ClientIsServed) {
-  ServerOptions Opts;
-  Opts.SocketPath = uniqueSocketPath();
-  ForkedDaemon D(Opts);
-  ASSERT_TRUE(D.forked());
-  {
-    service::Client Ready;
-    std::string Err;
-    ASSERT_TRUE(Ready.connect(D.socket(), Err, 10 * timeoutScale())) << Err;
-  }
-
-  JobRequest Req;
-  Req.ModuleText = reductionSumIrText(250);
-  Req.NumWorkers = 2;
-  std::string Body = encodeLegacyRequest(Req, 2);
-
-  int Fd = rawConnect(D.socket());
-  ASSERT_GE(Fd, 0);
-  std::string Err;
-  ASSERT_TRUE(writeFrame(Fd, MsgType::SubmitJob, Body, Err)) << Err;
-  MsgType Type;
-  std::string ReplyBody;
-  ASSERT_EQ(readFrame(Fd, Type, ReplyBody, Err, 300 * timeoutScale()),
-            ReadStatus::Ok)
-      << Err;
-  ::close(Fd);
-  ASSERT_EQ(Type, MsgType::JobResult);
-  JobReply R;
-  ASSERT_TRUE(decodeJobReply(ReplyBody, R, Err)) << Err;
-  EXPECT_EQ(R.Status, JobStatus::Ok) << R.Error;
-  EXPECT_NE(R.Output.find("acc"), std::string::npos);
 }
 
 // --- Zero-copy submission edge cases -------------------------------------

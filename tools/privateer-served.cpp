@@ -2,7 +2,8 @@
 //
 // The Privateer invocation service: a long-lived daemon that keeps
 // compiled pipelines warm and executes submitted .pir jobs in isolated
-// per-job supervisor processes.
+// executive processes — a pre-warmed pool for warm bytecode jobs, and a
+// one-shot executive per job for the rest.
 //
 //   privateer-served --socket /tmp/p.sock &
 //   privateer-client --socket /tmp/p.sock --demo redsum
@@ -32,12 +33,11 @@ int usage(const char *Argv0) {
       "  --cache <n>       warm program cache entries (default 32)\n"
       "  --deadline <sec>  default per-job deadline, scaled by\n"
       "                    PRIVATEER_TIMEOUT_SCALE (default: none)\n"
-      "  --max-mem-mb <n>  RLIMIT_AS for every supervisor + worker tree,\n"
-      "                    in MiB (default: unlimited)\n"
-      "  --max-cpu <sec>   RLIMIT_CPU per supervisor, scaled by\n"
+      "  --max-mem-mb <n>  RLIMIT_AS for every job's executive + worker\n"
+      "                    tree, in MiB (default: unlimited)\n"
+      "  --max-cpu <sec>   RLIMIT_CPU per job, scaled by\n"
       "                    PRIVATEER_TIMEOUT_SCALE (default: unlimited)\n"
-      "  --max-fds <n>     RLIMIT_NOFILE per supervisor (default: "
-      "unlimited)\n"
+      "  --max-fds <n>     RLIMIT_NOFILE per job (default: unlimited)\n"
       "  --conn-buffer <b> per-connection outbound buffer cap in bytes;\n"
       "                    slower readers are dropped (default 4 MiB)\n"
       "  --write-stall <s> drop a client making no read progress for this\n"
@@ -47,9 +47,6 @@ int usage(const char *Argv0) {
       "  --executives <n>  pre-warmed executive processes reused across\n"
       "                    jobs; warm cache hits run with zero fork and\n"
       "                    zero parse (default 4, 0 = per-job fork only)\n"
-      "  --shards <n>      acceptor shards: n independently forked daemon\n"
-      "                    processes sharing one listening socket, with\n"
-      "                    the kernel load-balancing accepts (default 1)\n"
       "  --tenant-weight <name=w[:prio[:rate[:burst]]]>\n"
       "                    weighted-fair-queuing config for one tenant:\n"
       "                    weight (share of the worker budget), priority\n"
@@ -57,9 +54,10 @@ int usage(const char *Argv0) {
       "                    0 = unmetered) and bucket burst; repeatable\n"
       "  --verbose         log accepts, jobs, and drains to stderr\n"
       "\n"
-      "Per-job requests can lower (never raise) the rlimit ceilings.\n"
+      "Per-job requests can lower (never raise) the rlimit ceilings; a\n"
+      "job under any rlimit runs in a one-shot executive.\n"
       "SIGTERM drains (stop accepting, finish the queue, reap\n"
-      "supervisors); SIGINT cancels running jobs and exits.  A stale\n"
+      "executives); SIGINT cancels running jobs and exits.  A stale\n"
       "socket left by a crashed daemon is probed and reclaimed on start.\n",
       Argv0);
   return 2;
@@ -96,8 +94,6 @@ int main(int Argc, char **Argv) {
       Opts.MaxRetries = static_cast<unsigned>(std::atoi(Argv[++I]));
     else if (A == "--executives" && I + 1 < Argc)
       Opts.Executives = static_cast<unsigned>(std::atoi(Argv[++I]));
-    else if (A == "--shards" && I + 1 < Argc)
-      Opts.Shards = static_cast<unsigned>(std::atoi(Argv[++I]));
     else if (A == "--tenant-weight" && I + 1 < Argc) {
       // name=weight[:priority[:rate[:burst]]]
       std::string Spec = Argv[++I];
