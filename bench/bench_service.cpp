@@ -56,6 +56,9 @@ struct Daemon {
     Opts.WorkerBudget = Budget;
     if (Opts.QueueDepth < 64)
       Opts.QueueDepth = 64;
+    // The daemon and its executives would otherwise inherit and re-flush
+    // this process's pending stdout, repeating report lines.
+    std::fflush(nullptr);
     Pid = ::fork();
     if (Pid == 0)
       ::_exit(Server::serve(Opts));

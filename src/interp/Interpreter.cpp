@@ -404,26 +404,7 @@ BasicBlock *Interpreter::runPlannedLoop(Frame &F) {
             reportFatalError(
                 "planned DOALL loop returned out of its body");
         });
-    Plan->Stats.Iterations += S.Iterations;
-    Plan->Stats.Checkpoints += S.Checkpoints;
-    Plan->Stats.Misspecs += S.Misspecs;
-    Plan->Stats.RecoveredIterations += S.RecoveredIterations;
-    Plan->Stats.Epochs += S.Epochs;
-    Plan->Stats.PrivateReadCalls += S.PrivateReadCalls;
-    Plan->Stats.PrivateReadBytes += S.PrivateReadBytes;
-    Plan->Stats.PrivateWriteCalls += S.PrivateWriteCalls;
-    Plan->Stats.PrivateWriteBytes += S.PrivateWriteBytes;
-    Plan->Stats.SeparationChecks += S.SeparationChecks;
-    Plan->Stats.ComUpdates += S.ComUpdates;
-    Plan->Stats.ComRecordsMerged += S.ComRecordsMerged;
-    Plan->Stats.ComRecordsCommitted += S.ComRecordsCommitted;
-    Plan->Stats.ComOverflows += S.ComOverflows;
-    Plan->Stats.DepPosts += S.DepPosts;
-    Plan->Stats.DepWaits += S.DepWaits;
-    Plan->Stats.DepWaitSpins += S.DepWaitSpins;
-    Plan->Stats.DepWaitTimeouts += S.DepWaitTimeouts;
-    if (Plan->Stats.FirstMisspecReason.empty())
-      Plan->Stats.FirstMisspecReason = S.FirstMisspecReason;
+    Plan->Stats.accumulate(S);
   }
 
   // After the loop, the IV holds the first value failing the bound check.

@@ -11,14 +11,14 @@
 /// per-worker progress word and heartbeat feeding the main process's
 /// watchdog, and per-worker statistics feeding Table 3 and Figure 8.
 /// Lives in a MAP_SHARED|MAP_ANONYMOUS region created before fork so all
-/// workers see one instance.
+/// workers see one instance.  Each epoch maps and zero-fills a fresh one,
+/// so it holds only what an epoch uses; trace rings, which outlive epochs
+/// and exist only when tracing, live in a trace::RingSet instead.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PRIVATEER_RUNTIME_CONTROLBLOCK_H
 #define PRIVATEER_RUNTIME_CONTROLBLOCK_H
-
-#include "support/Trace.h"
 
 #include <atomic>
 #include <cerrno>
@@ -135,10 +135,6 @@ struct ControlBlock {
   /// Checkpoint-slot locks broken by workers after their holder died.
   std::atomic<uint64_t> LocksBroken{0};
   WorkerStats Stats[kMaxWorkers];
-  /// Per-worker SPSC trace rings (worker produces, main process drains at
-  /// commit/join points).  Untouched pages when tracing is off, so the
-  /// ~4 MiB they add to the shared mapping costs address space only.
-  trace::Ring TraceRings[kMaxWorkers];
 
   /// Atomically lowers \p Target to \p Value if smaller.
   static void storeMin(std::atomic<uint64_t> &Target, uint64_t Value) {
@@ -152,6 +148,9 @@ struct ControlBlock {
 
 static_assert(std::atomic<uint64_t>::is_always_lock_free,
               "control block requires lock-free 64-bit atomics");
+// Every epoch zero-fills a fresh block; keep that a handful of pages.
+static_assert(sizeof(ControlBlock) <= 64 * 1024,
+              "control block must stay small: each epoch zero-fills it");
 
 } // namespace privateer
 

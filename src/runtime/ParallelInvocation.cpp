@@ -332,13 +332,22 @@ InvocationStats Runtime::runParallel(uint64_t NumIterations,
   InvocationStats Stats;
   double WallStart = wallSeconds();
 
-  // Arm tracing for this invocation; workers inherit TraceOn across fork
-  // and push into their shared-memory ring, the main process records
-  // straight into the collector.  Off (the default) costs one branch here.
+  // Arm tracing for this invocation: map one ring per worker, shared by
+  // every epoch's workers (they inherit the mapping across fork); the main
+  // process records straight into the collector.  Off (the default) maps
+  // nothing.  A failed mapping runs the invocation untraced — tracing must
+  // never be why an invocation fails.
   trace::Collector &Tc = trace::Collector::instance();
-  TraceOn = !Options.TracePath.empty();
-  if (TraceOn)
-    Tc.enable(Options.TracePath);
+  TraceOn = false;
+  if (!Options.TracePath.empty()) {
+    TraceOn = TraceRings.map(Options.NumWorkers);
+    if (TraceOn)
+      Tc.enable(Options.TracePath);
+    else
+      std::fprintf(stderr,
+                   "privateer: running untraced: mmap trace rings: %s\n",
+                   std::strerror(errno));
+  }
   uint64_t InvStartNs = TraceOn ? monotonicNanos() : 0;
 
   // Everything in the private heap is live-in when the invocation begins.
@@ -528,6 +537,10 @@ InvocationStats Runtime::runParallel(uint64_t NumIterations,
   }
 
   if (TraceOn) {
+    // Every worker is reaped, so the rings' drop counters are final.
+    for (unsigned I = 0; I < TraceRings.size(); ++I)
+      Tc.noteDrops(I, TraceRings.ring(I)->dropped());
+    TraceRings.unmap();
     Tc.record(trace::Kind::Invocation, 0, monotonicNanos(), InvStartNs,
               NumIterations, 0);
     std::string Err;
@@ -575,12 +588,11 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
   trace::Collector &Tc = trace::Collector::instance();
   uint64_t EpochStartNs = TraceOn ? NowNs : 0;
   // The main process is the only ring consumer; it drains at every
-  // commit-pump pass and at join so worker rings rarely fill.
+  // commit-pump pass and at join so worker rings rarely fill, and leaves
+  // them empty for the next epoch.  No rings are mapped when untraced.
   auto drainTraceRings = [&] {
-    if (!TraceOn)
-      return;
-    for (unsigned I = 0; I < W; ++I)
-      Tc.drainRing(Cb->TraceRings[I]);
+    for (unsigned I = 0; I < TraceRings.size(); ++I)
+      Tc.drainRing(*TraceRings.ring(I));
   };
 
   CheckpointRegion TheRegion;
@@ -674,6 +686,7 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
     for (pid_t Pid : Pids)
       if (Pid > 0)
         waitpid(Pid, nullptr, 0);
+    drainTraceRings();
     sigprocmask(SIG_SETMASK, &OldMask, nullptr);
     Region = nullptr;
     Cb->~ControlBlock();
@@ -1073,12 +1086,9 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
     Res.MisspecPeriodEnd = std::max(Res.MisspecPeriodEnd, Res.CommittedEnd);
   }
 
-  if (TraceOn) {
-    for (unsigned I = 0; I < W; ++I)
-      Tc.noteDrops(I, Cb->TraceRings[I].dropped());
+  if (TraceOn)
     Tc.record(trace::Kind::Epoch, 0, monotonicNanos(), EpochStartNs,
               Plan.BaseIter, static_cast<uint32_t>(Plan.NumSlots));
-  }
 
   Region = nullptr;
   Cb->~ControlBlock();
@@ -1105,9 +1115,9 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
   PendingCom.clear();
   IoSequence = 0;
 
-  // This worker's SPSC trace ring in the shared control block; row 1 + Id
-  // on the exported timeline (row 0 is the main process).
-  TraceRing = TraceOn ? &Cb->TraceRings[Id] : nullptr;
+  // This worker's SPSC trace ring, null when untraced; row 1 + Id on the
+  // exported timeline (row 0 is the main process).
+  TraceRing = TraceRings.ring(Id);
   const uint16_t TraceRow = static_cast<uint16_t>(1 + Id);
   if (TraceRing)
     TraceRing->push(trace::makeEvent(trace::Kind::WorkerBegin, TraceRow,

@@ -32,6 +32,7 @@
 #include "runtime/HeapKind.h"
 #include "runtime/Reduction.h"
 #include "runtime/SharedHeap.h"
+#include "support/Trace.h"
 
 #include <cstdarg>
 #include <cstdio>
@@ -241,6 +242,12 @@ struct InvocationStats {
   /// end of the invocation, indexed by HeapKind.
   uint64_t HeapLiveObjects[kNumHeapKinds] = {};
   uint64_t HeapHighWaterBytes[kNumHeapKinds] = {};
+
+  /// Folds \p S, the stats of a later invocation, into this running total.
+  /// Counters and seconds add; PrivateFootprintBytes takes the max; the
+  /// per-heap footprint snapshot takes \p S's (the later) value; the
+  /// first-reason strings keep the first non-empty one.
+  void accumulate(const InvocationStats &S);
 };
 
 using IterationFn = std::function<void(uint64_t)>;
@@ -485,11 +492,13 @@ private:
   /// serialized into the slot's com-log section at merge time.
   std::vector<ComRecord> PendingCom;
   WorkerStats LocalStats;
-  /// Tracing, armed per invocation by ParallelOptions::TracePath.  In a
-  /// worker process TraceRing points at this worker's SPSC ring inside the
-  /// shared control block; in the main process it stays null and events go
-  /// straight to the trace::Collector.
+  /// Tracing, armed per invocation by ParallelOptions::TracePath.
+  /// TraceRings is mapped for the whole of a traced invocation, one ring
+  /// per worker.  In a worker process TraceRing points at this worker's
+  /// ring in it; in the main process it stays null and events go straight
+  /// to the trace::Collector.
   bool TraceOn = false;
+  trace::RingSet TraceRings;
   trace::Ring *TraceRing = nullptr;
   std::FILE *SeqOut = nullptr; ///< Sink for immediate (sequential) output.
 

@@ -13,6 +13,9 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <new>
+
+#include <sys/mman.h>
 
 namespace privateer {
 namespace trace {
@@ -189,6 +192,28 @@ void Collector::record(const Event &E, const std::string &Note) {
     R.Note = static_cast<uint32_t>(Notes.size());
   }
   Records.push_back(R);
+}
+
+bool RingSet::map(unsigned N) {
+  unmap();
+  void *Mem = mmap(nullptr, sizeof(Ring) * N, PROT_READ | PROT_WRITE,
+                   MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  if (Mem == MAP_FAILED)
+    return false;
+  Rings = static_cast<Ring *>(Mem);
+  Count = N;
+  // Default-initialization sets the cursors and leaves the event slots to
+  // the zero pages, so a ring touches its event pages only as they fill.
+  for (unsigned I = 0; I < N; ++I)
+    new (Rings + I) Ring;
+  return true;
+}
+
+void RingSet::unmap() {
+  if (Rings)
+    munmap(Rings, sizeof(Ring) * Count);
+  Rings = nullptr;
+  Count = 0;
 }
 
 uint32_t Collector::drainRing(Ring &R) {

@@ -9,8 +9,8 @@
 /// Always-compiled, default-off event tracing for the parallel runtime.
 ///
 /// Workers are forked processes, so their events travel through fixed-size
-/// lock-free SPSC rings living in the shared control block (MAP_SHARED
-/// memory created before fork).  A producer writes one POD record and
+/// lock-free SPSC rings in a RingSet: MAP_SHARED memory a traced invocation
+/// maps before its first fork.  A producer writes one POD record and
 /// bumps one atomic cursor — wait-free, async-signal-safe, and cheap
 /// enough to sit next to the private_read/private_write instrumentation;
 /// when the ring is full the event is counted as dropped, never blocked
@@ -123,9 +123,8 @@ inline Event makeEvent(Kind K, uint16_t Worker, uint64_t TimeNs, uint64_t A,
 }
 
 /// Events one ring holds; must be a power of two.  At 32 bytes per event
-/// one ring is 64 KiB; the control block carries one per possible worker,
-/// all of it untouched (and therefore physically unallocated) until the
-/// first traced event lands.
+/// one ring is 64 KiB.  Only traced invocations map rings (see RingSet),
+/// one per worker.
 inline constexpr uint32_t kRingCapacity = 2048;
 
 /// Fixed-size single-producer/single-consumer ring.  The producer is one
@@ -175,6 +174,33 @@ private:
   Event Events[kRingCapacity];
 };
 
+/// One invocation's worker rings, ring I for worker I, in one
+/// MAP_SHARED|MAP_ANONYMOUS mapping made before the first fork so every
+/// epoch's workers and the main process address the same instances.  The
+/// main process drains every ring to empty at each join, so the set serves
+/// all epochs of the invocation without a reset; drop counts accumulate
+/// over the whole invocation.
+class RingSet {
+public:
+  RingSet() = default;
+  RingSet(const RingSet &) = delete;
+  RingSet &operator=(const RingSet &) = delete;
+  ~RingSet() { unmap(); }
+
+  /// Maps \p N empty rings in place of any current mapping.  Returns false
+  /// with errno set, and leaves the set empty, when the mapping fails.
+  bool map(unsigned N);
+  void unmap();
+
+  unsigned size() const { return Count; }
+  /// Ring \p I, or null when the set holds no such ring.
+  Ring *ring(unsigned I) { return I < Count ? Rings + I : nullptr; }
+
+private:
+  Ring *Rings = nullptr;
+  unsigned Count = 0;
+};
+
 /// Main-process-side accumulator: receives drained worker events and the
 /// main process's own events, mirrors per-kind counts into
 /// StatisticRegistry group "trace", and serializes the whole timeline as
@@ -207,7 +233,8 @@ public:
   uint32_t drainRing(Ring &R);
 
   /// Folds a ring's final drop count into the trace.dropped statistic and
-  /// emits a RingDrops event when non-zero.  Call once per ring per epoch.
+  /// emits a RingDrops event when non-zero.  Call once per ring per
+  /// invocation, after its last drain.
   void noteDrops(unsigned Worker, uint64_t Count);
 
   /// Serializes the timeline to path() as Chrome-trace JSON (rewrites the

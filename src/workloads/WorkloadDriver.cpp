@@ -81,30 +81,8 @@ std::string privateer::runWorkloadParallel(Workload &W,
         Rt.runParallel(W.iterationsPerInvocation(), Opt,
                        [&](uint64_t I) { W.body(I); });
     W.endInvocation(K);
-    if (Total) {
-      Total->Iterations += S.Iterations;
-      Total->Checkpoints += S.Checkpoints;
-      Total->Misspecs += S.Misspecs;
-      Total->RecoveredIterations += S.RecoveredIterations;
-      Total->Epochs += S.Epochs;
-      Total->PrivateReadCalls += S.PrivateReadCalls;
-      Total->PrivateReadBytes += S.PrivateReadBytes;
-      Total->PrivateWriteCalls += S.PrivateWriteCalls;
-      Total->PrivateWriteBytes += S.PrivateWriteBytes;
-      Total->SeparationChecks += S.SeparationChecks;
-      Total->CheckpointDirtyChunks += S.CheckpointDirtyChunks;
-      Total->CheckpointBytesScanned += S.CheckpointBytesScanned;
-      Total->CheckpointBytesSkipped += S.CheckpointBytesSkipped;
-      Total->PrivateFootprintBytes =
-          std::max(Total->PrivateFootprintBytes, S.PrivateFootprintBytes);
-      Total->UsefulSec += S.UsefulSec;
-      Total->PrivateReadSec += S.PrivateReadSec;
-      Total->PrivateWriteSec += S.PrivateWriteSec;
-      Total->CheckpointSec += S.CheckpointSec;
-      Total->WallSec += S.WallSec;
-      if (Total->FirstMisspecReason.empty())
-        Total->FirstMisspecReason = S.FirstMisspecReason;
-    }
+    if (Total)
+      Total->accumulate(S);
   }
   Rt.setSequentialOutput(nullptr);
 

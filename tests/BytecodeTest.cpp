@@ -248,14 +248,40 @@ TEST_P(BytecodePipeline, PrivatizedBytecodeByteMatchesInterp) {
     PerEngine[Engine == ExecEngine::Interp] = E.Stats;
   }
 
-  // Check/stat parity: both engines drive the same speculation machinery.
-  EXPECT_EQ(PerEngine[0].Iterations, PerEngine[1].Iterations) << Name;
-  EXPECT_EQ(PerEngine[0].SeparationChecks, PerEngine[1].SeparationChecks)
-      << Name;
-  EXPECT_EQ(PerEngine[0].PrivateReadCalls, PerEngine[1].PrivateReadCalls)
-      << Name;
-  EXPECT_EQ(PerEngine[0].PrivateWriteCalls, PerEngine[1].PrivateWriteCalls)
-      << Name;
+  // Check/stat parity: both engines drive the same speculation machinery
+  // and fold its stats with InvocationStats::accumulate, so every counter
+  // matches, and both report the invocation's timings.
+  const InvocationStats &Bc = PerEngine[0], &In = PerEngine[1];
+#define EXPECT_SAME(Field) EXPECT_EQ(Bc.Field, In.Field) << Name << " " #Field
+  EXPECT_SAME(Iterations);
+  EXPECT_SAME(Checkpoints);
+  EXPECT_SAME(Misspecs);
+  EXPECT_SAME(RecoveredIterations);
+  EXPECT_SAME(Epochs);
+  EXPECT_SAME(PrivateReadCalls);
+  EXPECT_SAME(PrivateReadBytes);
+  EXPECT_SAME(PrivateWriteCalls);
+  EXPECT_SAME(PrivateWriteBytes);
+  EXPECT_SAME(SeparationChecks);
+  EXPECT_SAME(CheckpointDirtyChunks);
+  EXPECT_SAME(CheckpointBytesScanned);
+  EXPECT_SAME(CheckpointBytesSkipped);
+  EXPECT_SAME(PrivateFootprintBytes);
+  EXPECT_SAME(DegradedEpochs);
+  EXPECT_SAME(ForkFailures);
+  EXPECT_SAME(ComUpdates);
+  EXPECT_SAME(DepPosts);
+  for (unsigned K = 0; K < kNumHeapKinds; ++K) {
+    EXPECT_SAME(HeapLiveObjects[K]);
+    EXPECT_SAME(HeapHighWaterBytes[K]);
+  }
+#undef EXPECT_SAME
+  EXPECT_GT(Bc.PrivateFootprintBytes, 0u) << Name;
+  for (const InvocationStats *S : {&Bc, &In}) {
+    EXPECT_GT(S->WallSec, 0.0) << Name;
+    EXPECT_GT(S->UsefulSec, 0.0) << Name;
+    EXPECT_GT(S->CheckpointSec, 0.0) << Name;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Fig6, BytecodePipeline,

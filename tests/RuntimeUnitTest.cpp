@@ -15,6 +15,8 @@
 #include <algorithm>
 #include <limits>
 
+#include <sys/resource.h>
+
 using namespace privateer;
 
 namespace {
@@ -571,6 +573,40 @@ TEST_F(CrossWorkerPrivacyTest, ByteGranularReadWriteSplitWithinOneWord) {
   EXPECT_EQ(*Sink, 0 + 1 + 2 + 3);
   for (int B = 4; B < 8; ++B)
     EXPECT_EQ(Word[B], 0x50 + B);
+}
+
+// --- Epoch bring-up cost -------------------------------------------------
+
+TEST_F(CrossWorkerPrivacyTest, UntracedEpochTakesFewParentPageFaults) {
+  // Every epoch maps and zero-fills a fresh control block, and an untraced
+  // epoch must touch no trace-ring page.  The bound on the parent's minor
+  // faults per epoch is half the 1024 pages of 64 rings of 64 KiB.
+  constexpr uint64_t N = 64;
+  auto *Out =
+      static_cast<long *>(h_alloc(N * sizeof(long), HeapKind::Private));
+  auto Body = [Out](uint64_t I) {
+    private_write(&Out[I], sizeof(long));
+    Out[I] = static_cast<long>(I);
+  };
+  ParallelOptions Opt;
+  Opt.NumWorkers = 2;
+  Opt.CheckpointPeriod = 4;
+  Opt.MaxSlotsPerEpoch = 1; // One period per epoch: 16 epochs.
+  // Warm-up: first touches of the heaps, shadow and allocator happen once
+  // per runtime, not per epoch.
+  Runtime::get().runParallel(N, Opt, Body);
+
+  rusage Before, After;
+  getrusage(RUSAGE_SELF, &Before);
+  InvocationStats S = Runtime::get().runParallel(N, Opt, Body);
+  getrusage(RUSAGE_SELF, &After);
+  ASSERT_GE(S.Epochs, 16u);
+  EXPECT_EQ(S.Misspecs, 0u) << S.FirstMisspecReason;
+  for (uint64_t I = 0; I < N; ++I)
+    ASSERT_EQ(Out[I], static_cast<long>(I)) << I;
+  long Faults = After.ru_minflt - Before.ru_minflt;
+  EXPECT_LT(Faults / static_cast<long>(S.Epochs), 512)
+      << Faults << " parent minor faults over " << S.Epochs << " epochs";
 }
 
 } // namespace

@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -307,6 +308,99 @@ TEST(TraceSmoke, UntracedRunRecordsNoTimeline) {
 
   EXPECT_FALSE(Tc.enabled());
   EXPECT_EQ(Tc.eventCount(), 0u);
+}
+
+/// One timeline event as serialized by trace::Collector::flush.
+struct TimelineEvent {
+  std::string Name;
+  unsigned Row = 0;
+  double Ts = 0, Dur = 0;
+};
+
+/// Parses the one-event-per-line JSON the collector writes.
+std::vector<TimelineEvent> parseTimeline(const std::string &Json) {
+  std::vector<TimelineEvent> Events;
+  std::istringstream In(Json);
+  std::string Line;
+  auto Field = [&](const char *Key) -> const char * {
+    size_t At = Line.find(Key);
+    return At == std::string::npos ? nullptr
+                                   : Line.c_str() + At + std::strlen(Key);
+  };
+  while (std::getline(In, Line)) {
+    const char *Name = Field("\"name\":\"");
+    const char *Pid = Field("\"pid\":");
+    const char *Ts = Field("\"ts\":");
+    if (!Name || !Pid || !Ts)
+      continue;
+    TimelineEvent E;
+    E.Name.assign(Name, std::strchr(Name, '"'));
+    E.Row = static_cast<unsigned>(std::strtoul(Pid, nullptr, 10));
+    E.Ts = std::strtod(Ts, nullptr);
+    if (const char *Dur = Field("\"dur\":"))
+      E.Dur = std::strtod(Dur, nullptr);
+    Events.push_back(E);
+  }
+  return Events;
+}
+
+TEST(TraceSmoke, EveryEpochReusesTheInvocationRings) {
+  // The rings are mapped once per invocation and drained empty at every
+  // join, so each epoch's workers must land their events on their own
+  // rows, none lost, however many epochs share the rings.
+  std::string TracePath =
+      ::testing::TempDir() + "privateer-trace-epochs.json";
+  std::remove(TracePath.c_str());
+
+  RuntimeConfig C;
+  C.PrivateBytes = 1u << 20;
+  C.ReadOnlyBytes = 1u << 16;
+  C.ReduxBytes = 1u << 16;
+  C.ShortLivedBytes = 1u << 16;
+  C.UnrestrictedBytes = 1u << 16;
+  Runtime::get().initialize(C);
+
+  constexpr uint64_t N = 32;
+  auto *Out =
+      static_cast<long *>(h_alloc(N * sizeof(long), HeapKind::Private));
+  ParallelOptions Par;
+  Par.NumWorkers = 2;
+  Par.CheckpointPeriod = 8;
+  Par.MaxSlotsPerEpoch = 1; // One period per epoch: 4 epochs.
+  Par.TracePath = TracePath;
+  InvocationStats S = Runtime::get().runParallel(N, Par, [Out](uint64_t I) {
+    private_write(&Out[I], sizeof(long));
+    Out[I] = static_cast<long>(I * 3);
+  });
+  EXPECT_EQ(S.Misspecs, 0u) << S.FirstMisspecReason;
+  ASSERT_GE(S.Epochs, 3u);
+  for (uint64_t I = 0; I < N; ++I)
+    ASSERT_EQ(Out[I], static_cast<long>(I * 3)) << "iteration " << I;
+  EXPECT_EQ(trace::Collector::instance().droppedTotal(), 0u);
+
+  std::string Json = readWholeFile(TracePath);
+  ASSERT_FALSE(Json.empty()) << "trace file missing: " << TracePath;
+  EXPECT_NE(Json.find("\"dropped_events\":0}"), std::string::npos);
+  std::vector<TimelineEvent> Events = parseTimeline(Json);
+  unsigned Epochs = 0;
+  for (const TimelineEvent &Ep : Events) {
+    if (Ep.Name != "epoch")
+      continue;
+    ++Epochs;
+    for (unsigned Row : {1u, 2u}) {
+      bool Began = false;
+      for (const TimelineEvent &E : Events)
+        Began |= E.Name == "worker_begin" && E.Row == Row &&
+                 E.Ts >= Ep.Ts && E.Ts <= Ep.Ts + Ep.Dur;
+      EXPECT_TRUE(Began) << "no worker_begin on row " << Row
+                         << " in the epoch at " << Ep.Ts << " us";
+    }
+  }
+  EXPECT_EQ(Epochs, S.Epochs);
+
+  trace::Collector::instance().enable(std::string()); // Disarm.
+  Runtime::get().shutdown();
+  std::remove(TracePath.c_str());
 }
 
 TEST(TraceSmoke, StagedRunEmitsStageBoundaryEvents) {
