@@ -732,9 +732,16 @@ int runJitReport(const std::string &Path) {
 // code enforces the acceptance criterion that 4 workers (one per stage)
 // reach at least a 1.5x speedup, with zero misspeculations and
 // byte-identical results.
+//
+// An informational row (no gate) times the token hand-off itself: a
+// native distance-1 chain of empty iterations at W = min(4, nproc), at
+// least 2, where every iteration waits for its predecessor's token from
+// another worker.  It reports wall time, wall time per hand-off, and how
+// many waits parked in the kernel.
 
 constexpr uint64_t kDoIters = 64;
 constexpr long kStageSleepUs = 400;
+constexpr uint64_t kChainIters = 3000;
 
 /// The carried computation of one stage: cheap, nonlinear, and dependent
 /// on everything upstream so a scheduling bug cannot cancel out.
@@ -841,6 +848,40 @@ int runDoacrossReport(const std::string &Path) {
                 static_cast<unsigned long long>(Best.DepWaits));
     Points.push_back({S, SeqSec, PipeSec, Best.DepPosts, Best.DepWaits});
   }
+
+  // Tight chain: median of Reps runs after one warm-up.
+  unsigned ChainW = static_cast<unsigned>(
+      std::max(2L, std::min(4L, sysconf(_SC_NPROCESSORS_ONLN))));
+  ParallelOptions ChainOpt;
+  ChainOpt.NumWorkers = ChainW;
+  ChainOpt.Strat = Strategy::Doacross;
+  ChainOpt.NumDepChannels = 1;
+  auto Chain = [](uint64_t I) {
+    uint64_t Prev = I == 0 ? 0 : Runtime::get().waitDep(I - 1, 0);
+    Runtime::get().postDep(I, 0, Prev + 1);
+  };
+  Runtime::get().runParallel(kChainIters, ChainOpt, Chain);
+  std::vector<std::pair<double, uint64_t>> ChainRuns; // (sec, parks)
+  for (int Rep = 0; Rep < Reps; ++Rep) {
+    uint64_t T0 = monotonicNanos();
+    InvocationStats St = Runtime::get().runParallel(kChainIters, ChainOpt,
+                                                    Chain);
+    double Sec = static_cast<double>(monotonicNanos() - T0) * 1e-9;
+    if (St.Misspecs != 0) {
+      std::fprintf(stderr, "doacross chain misspeculated: %s\n",
+                   St.FirstMisspecReason.c_str());
+      return 1;
+    }
+    ChainRuns.push_back({Sec, St.DepWaitSpins});
+  }
+  std::sort(ChainRuns.begin(), ChainRuns.end());
+  double ChainMs = ChainRuns[ChainRuns.size() / 2].first * 1e3;
+  uint64_t ChainParks = ChainRuns[ChainRuns.size() / 2].second;
+  double UsPerHandoff = ChainMs * 1e3 / static_cast<double>(kChainIters - 1);
+  std::printf("tight chain (%llu empty iterations, %u workers): %7.2f ms, "
+              "%.2f us per hand-off, %llu parks\n",
+              static_cast<unsigned long long>(kChainIters), ChainW, ChainMs,
+              UsPerHandoff, static_cast<unsigned long long>(ChainParks));
   Runtime::get().shutdown();
 
   bool Pass = KeySpeedup >= 1.5;
@@ -864,7 +905,13 @@ int runDoacrossReport(const std::string &Path) {
                  static_cast<unsigned long long>(P.DepWaits),
                  I + 1 < Points.size() ? "," : "");
   }
-  std::fprintf(F, "  ],\n  \"check_4worker_speedup_ge_1_5\": %s\n}\n",
+  std::fprintf(F,
+               "  ],\n  \"tight_chain\": {\"iterations\": %llu, "
+               "\"workers\": %u, \"wall_ms\": %.3f, "
+               "\"us_per_handoff\": %.3f, \"parks\": %llu},\n",
+               static_cast<unsigned long long>(kChainIters), ChainW, ChainMs,
+               UsPerHandoff, static_cast<unsigned long long>(ChainParks));
+  std::fprintf(F, "  \"check_4worker_speedup_ge_1_5\": %s\n}\n",
                Pass ? "true" : "false");
   std::fclose(F);
   std::printf("doacross report written to %s; 4-worker pipeline speedup "

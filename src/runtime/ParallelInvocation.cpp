@@ -164,7 +164,7 @@ void Runtime::runDegraded(uint64_t Begin, uint64_t End,
 }
 
 //===----------------------------------------------------------------------===//
-// Dependence-token channels (DOACROSS / pipeline, ROADMAP item 3)
+// Dependence-token channels (DOACROSS / pipeline)
 //===----------------------------------------------------------------------===//
 
 void Runtime::ensureLocalDepRings(uint32_t Chan) {
@@ -211,6 +211,10 @@ void Runtime::postDep(uint64_t Iter, uint32_t Chan, uint64_t Value) {
     ensureLocalDepRings(Chan);
   }
   depchan::post(DepRings, Chan, Iter, Value);
+  // Only a worker can have a consumer parked behind it: the main process
+  // posts (recovery, degraded windows) while no worker runs.
+  if (DepSleepers && Mode != ExecMode::Sequential)
+    depchan::wakeParked(depchan::slotFor(DepRings, Chan, Iter), *DepSleepers);
   ++LocalStats.DepPosts;
   // Ring push only when this invocation armed tracing (TraceRing stays
   // null otherwise): the disabled path pays one branch, nothing else.
@@ -241,16 +245,22 @@ uint64_t Runtime::waitDep(uint64_t Iter, uint32_t Chan) {
   if (Mode == ExecMode::Sequential)
     return 0; // Sequential misses are pre-loop targets by construction.
 
-  // Worker slow path: spin until the producer posts, refreshing our
-  // heartbeat (a patient consumer is not a hung worker) and watching the
-  // misspeculation flag — once an iteration at or before ours is doomed,
-  // the token may never arrive and our own period can no longer commit.
-  // A bounded wait converts producer loss the flag cannot explain (e.g. a
-  // worker wedged before the watchdog notices) into misspeculation.
+  // Worker slow path: spin, then park, until the producer posts.  Every
+  // round refreshes our heartbeat (a patient consumer is not a hung
+  // worker) and watches the misspeculation flag — once an iteration at or
+  // before ours is doomed, the token may never arrive and our own period
+  // can no longer commit.  A bounded wait converts producer loss the flag
+  // cannot explain (e.g. a worker wedged before the watchdog notices) into
+  // misspeculation.  A token that arrives while we spin costs no system
+  // call; after kSpinBudgetNs the producer is evidently off-CPU, so we
+  // park in the kernel for at most ParkNs (1 us doubling to 100 us, which
+  // keeps the flag and timeout checks as frequent as ever).
   const uint64_t StartNs = monotonicNanos();
-  uint64_t SleepNs = 1000; // 1us, doubling to 100us.
+  uint64_t ParkNs = 1000;
+  bool Parked = false;
+  depchan::DepSlot &Slot = depchan::slotFor(DepRings, Chan, Iter);
   for (;;) {
-    for (int K = 0; K < 256; ++K)
+    for (int K = 0; K < 64; ++K) {
       if (depchan::probe(DepRings, Chan, Iter, &V)) {
         // Only waits that left the fast path get a span: the token was
         // genuinely late and the stall is worth seeing on the timeline.
@@ -260,7 +270,8 @@ uint64_t Runtime::waitDep(uint64_t Iter, uint32_t Chan) {
               monotonicNanos(), StartNs, Iter, Chan));
         return V;
       }
-    ++LocalStats.DepWaitSpins;
+      depchan::cpuRelax();
+    }
     uint64_t Now = monotonicNanos();
     if (Cb) {
       Cb->WorkerHeartbeat[WorkerId].store(Now, std::memory_order_relaxed);
@@ -278,10 +289,23 @@ uint64_t Runtime::waitDep(uint64_t Iter, uint32_t Chan) {
         misspecAbort("dependence wait timed out");
       _exit(kMisspecExit);
     }
-    timespec Ts{0, static_cast<long>(SleepNs)};
-    nanosleep(&Ts, nullptr);
-    if (SleepNs < 100000)
-      SleepNs *= 2;
+    if (Now - StartNs < depchan::kSpinBudgetNs)
+      continue;
+    if (DepSleepers) {
+      // Count the wait once however many timed parks it takes: the stat
+      // says how many hand-offs fell through to the kernel.
+      if (depchan::park(Slot, Iter, *DepSleepers, ParkNs) && !Parked) {
+        Parked = true;
+        ++LocalStats.DepWaitSpins;
+      }
+    } else {
+      // Process-local rings: nobody else can post, so there is no one to
+      // wake us; just pace the flag and timeout checks.
+      timespec Ts{0, static_cast<long>(ParkNs)};
+      nanosleep(&Ts, nullptr);
+    }
+    if (ParkNs < 100000)
+      ParkNs *= 2;
   }
 }
 
@@ -379,11 +403,12 @@ InvocationStats Runtime::runParallel(uint64_t NumIterations,
   depchan::DepSlot *SavedRings = DepRings;
   uint32_t SavedChanCount = DepChanCount;
   bool SavedShared = DepRingsShared;
+  depchan::Sleepers *SavedSleepers = DepSleepers;
   void *DepMem = nullptr;
   size_t DepBytes = 0;
   bool DepMapFailed = false;
   if (Options.NumDepChannels > 0) {
-    DepBytes = depchan::ringBytes(Options.NumDepChannels);
+    DepBytes = depchan::mappingBytes(Options.NumDepChannels);
     DepMem = mmap(nullptr, DepBytes, PROT_READ | PROT_WRITE,
                   MAP_SHARED | MAP_ANONYMOUS, -1, 0);
     if (DepMem == MAP_FAILED) {
@@ -394,6 +419,7 @@ InvocationStats Runtime::runParallel(uint64_t NumIterations,
       DepRings = static_cast<depchan::DepSlot *>(DepMem);
       DepChanCount = Options.NumDepChannels;
       DepRingsShared = true;
+      DepSleepers = depchan::sleepersFor(DepRings, DepChanCount);
     }
   }
   DepWaitNs = Options.StallTimeoutSec > 0
@@ -486,6 +512,7 @@ InvocationStats Runtime::runParallel(uint64_t NumIterations,
   DepRings = SavedRings;
   DepChanCount = SavedChanCount;
   DepRingsShared = SavedShared;
+  DepSleepers = SavedSleepers;
   // Token traffic from the main process (sequential recovery and degraded
   // windows re-post in order); the workers' share is aggregated per epoch.
   Stats.DepPosts += LocalStats.DepPosts - DepPosts0;

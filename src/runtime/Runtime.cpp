@@ -126,6 +126,9 @@ void Runtime::shutdown() {
   Shadow.destroy();
   Redux.clear();
   Com.clear();
+  // The engines set the floor per planned loop; it must not outlive this
+  // runtime session into the next one's native loops.
+  DepFloor = INT64_MIN;
   Initialized = false;
 }
 

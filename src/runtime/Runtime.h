@@ -52,7 +52,7 @@ struct RuntimeConfig {
   size_t CommutativeBytes = 1u << 20;
 };
 
-/// How a parallel invocation schedules its iterations (ROADMAP item 3).
+/// How a parallel invocation schedules its iterations.
 enum class Strategy : uint8_t {
   /// Independent iterations, the paper's model: cross-iteration
   /// dependences must be speculated away entirely.
@@ -137,7 +137,7 @@ struct ParallelOptions {
   /// Deferred-output sink; nullptr means stdout.
   std::FILE *Out = nullptr;
 
-  // --- Execution strategy (DOACROSS / pipeline, ROADMAP item 3) ----------
+  // --- Execution strategy (DOACROSS / pipeline) --------------------------
 
   /// Scheduling strategy.  Doacross and Pipeline need NumDepChannels > 0
   /// to map the shared token rings.
@@ -228,7 +228,10 @@ struct InvocationStats {
   // --- DOACROSS / pipeline counters (StatisticRegistry group "dep") ------
   uint64_t DepPosts = 0;        ///< Tokens published by postDep.
   uint64_t DepWaits = 0;        ///< Tokens consumed by waitDep.
-  uint64_t DepWaitSpins = 0;    ///< Spin rounds spent blocked on a token.
+  /// Waits that outlasted the spin budget and parked in the kernel
+  /// (FUTEX_WAIT) at least once; the name predates the spin-then-park
+  /// wait.
+  uint64_t DepWaitSpins = 0;
   uint64_t DepWaitTimeouts = 0; ///< Waits that gave up and misspeculated.
 
   // --- Commutative-update heap (StatisticRegistry group "com") -----------
@@ -379,7 +382,7 @@ public:
   /// recovery engine.
   void runSequential(uint64_t Begin, uint64_t End, const IterationFn &Body);
 
-  // --- Dependence forwarding (DOACROSS / pipeline, ROADMAP item 3) -------
+  // --- Dependence forwarding (DOACROSS / pipeline) -----------------------
 
   /// post: publishes the cross-iteration value produced by iteration
   /// \p Iter on channel \p Chan.  Inside an invocation the token lands in
@@ -391,11 +394,13 @@ public:
   void postDep(uint64_t Iter, uint32_t Chan, uint64_t Value);
 
   /// wait: returns the token iteration \p Iter posted on \p Chan.  A
-  /// speculative worker spins — refreshing its heartbeat, polling the
-  /// misspeculation flag, bounded by StallTimeoutSec — and converts a
-  /// hopeless wait into misspeculation.  Everywhere else a missing token
-  /// returns 0 immediately; by construction that only happens for
-  /// pre-loop targets, whose value the rewritten IR discards via select.
+  /// worker whose token is late spins for depchan::kSpinBudgetNs, then
+  /// parks in timed futex waits — refreshing its heartbeat, polling the
+  /// misspeculation flag, bounded by StallTimeoutSec throughout — and
+  /// converts a hopeless wait into misspeculation.  Everywhere else a
+  /// missing token returns 0 immediately; by construction that only
+  /// happens for pre-loop targets, whose value the rewritten IR discards
+  /// via select.
   uint64_t waitDep(uint64_t Iter, uint32_t Chan);
 
   /// Lowest iteration number that will ever post a token (the loop's
@@ -510,12 +515,14 @@ private:
   depchan::DepSlot *DepRings = nullptr;
   uint32_t DepChanCount = 0;
   bool DepRingsShared = false; ///< True while runParallel owns the region.
+  /// Parked-consumer count of the shared region; null for local rings.
+  depchan::Sleepers *DepSleepers = nullptr;
   /// Process-local fallback rings for sequential execution outside an
   /// invocation; grown lazily, freed at shutdown.
   depchan::DepSlot *LocalDepRings = nullptr;
   uint32_t LocalDepChanCount = 0;
   int64_t DepFloor = INT64_MIN;
-  uint64_t DepWaitNs = 0; ///< Spin bound for speculative waits (0 = none).
+  uint64_t DepWaitNs = 0; ///< Bound on a worker's token wait (0 = none).
   /// Staged-pipeline state, live only inside runParallelStaged.
   const StagedIterationFn *StagedBody = nullptr;
   uint32_t StageCount = 0;

@@ -279,4 +279,42 @@ TEST(Doacross, PipelineStrategyDegradesToTokenScheduling) {
   EXPECT_EQ(E.Stats.Misspecs, 0u) << E.Stats.FirstMisspecReason;
 }
 
+TEST(Doacross, ScalarCarryHandsTokensOverWithoutParking) {
+  // A distance-1 carry between two workers hands every token across
+  // processes.  A late token is normally only a few hundred ns late and
+  // must be caught by the consumer's spin; parking (or sleeping) on most
+  // hand-offs turns a 3,000-iteration run from milliseconds into tens of
+  // them.  A consumer must park when its producer is off-CPU, so a host
+  // busy enough to deschedule the workers on most hand-offs can push one
+  // run past the bound; the best of three runs must stay under it.
+  constexpr uint64_t N = 3000;
+  int64_t ExpectedRet = 0;
+  std::string Expected = sequentialOutput(scalarCarryIrText(N), &ExpectedRet);
+
+  auto M = parseOrDie(scalarCarryIrText(N));
+  analysis::FunctionAnalyses FA(*M);
+  PipelineResult R = runPipeline(*M, FA, Strategy::Doacross);
+  ASSERT_TRUE(R.Transformed) << (R.Log.empty() ? "" : R.Log.back());
+
+  ParallelOptions Par;
+  Par.NumWorkers = 2;
+  Par.Strat = Strategy::Doacross;
+  PipelineOptions Opt;
+  Opt.Strat = Strategy::Doacross;
+  uint64_t FewestParks = UINT64_MAX;
+  for (int Run = 0; Run < 3 && FewestParks >= N / 2; ++Run) {
+    std::FILE *Out = std::tmpfile();
+    ExecutionResult E = executePrivatized(*M, FA, R.Assignment, Opt, Par,
+                                          RuntimeConfig(), Out);
+    std::string Got = readAll(Out);
+    std::fclose(Out);
+    EXPECT_EQ(Got, Expected);
+    EXPECT_EQ(E.ReturnValue.asInt(), ExpectedRet);
+    EXPECT_EQ(E.Stats.Misspecs, 0u) << E.Stats.FirstMisspecReason;
+    EXPECT_EQ(E.Stats.DepWaitTimeouts, 0u);
+    FewestParks = std::min(FewestParks, E.Stats.DepWaitSpins);
+  }
+  EXPECT_LT(FewestParks, N / 2);
+}
+
 } // namespace

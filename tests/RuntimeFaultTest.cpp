@@ -14,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <ctime>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 using namespace privateer;
@@ -636,6 +638,115 @@ TEST_F(RuntimeFaultTest, StalledStageProducerIsReclaimedNotDeadlocked) {
   EXPECT_GE(Stats.Misspecs, 1u);
   for (uint64_t I = 0; I < N; ++I)
     ASSERT_EQ(Out[I], staged::expected(I)) << "iteration " << I;
+}
+
+// --- DOACROSS token hand-off: consumers that park ---------------------
+//
+// A native distance-1 chain: iteration I waits for I-1's token, folds it
+// into its own value, stores that value and posts it.  Some producers
+// sleep well past depchan::kSpinBudgetNs before posting, so their
+// consumers stop spinning and park in the kernel.
+
+namespace chain {
+
+uint64_t step(uint64_t Prev, uint64_t I) {
+  return (Prev ^ (Prev >> 29)) * 6364136223846793005ULL + I + 1;
+}
+
+/// Producers of these iterations post late.
+bool late(uint64_t I) { return I % 37 == 5; }
+
+std::vector<uint64_t> expected(uint64_t N) {
+  std::vector<uint64_t> V(N);
+  uint64_t Prev = 0;
+  for (uint64_t I = 0; I < N; ++I)
+    V[I] = Prev = step(Prev, I);
+  return V;
+}
+
+/// Worker count for the chain: up to 4, and 0 (skip) on a single CPU,
+/// where a consumer and its producer can never run at once.
+unsigned chainWorkers() {
+  long Cpus = sysconf(_SC_NPROCESSORS_ONLN);
+  return Cpus < 2 ? 0 : static_cast<unsigned>(std::min(4L, Cpus));
+}
+
+ParallelOptions options(unsigned Workers) {
+  ParallelOptions Opt;
+  Opt.NumWorkers = Workers;
+  Opt.CheckpointPeriod = 8;
+  Opt.Strat = Strategy::Doacross;
+  Opt.NumDepChannels = 1;
+  return Opt;
+}
+
+} // namespace chain
+
+TEST_F(RuntimeFaultTest, DoacrossConsumersParkOnLateTokensAndStayExact) {
+  unsigned W = chain::chainWorkers();
+  if (W == 0)
+    GTEST_SKIP() << "needs at least 2 CPUs";
+  constexpr uint64_t N = 600;
+  auto *Out = reinterpret_cast<uint64_t *>(makeOut(N));
+  IterationFn Body = [Out](uint64_t I) {
+    uint64_t Prev = I == 0 ? 0 : Runtime::get().waitDep(I - 1, 0);
+    if (chain::late(I))
+      paceIteration(200);
+    uint64_t V = chain::step(Prev, I);
+    private_write(&Out[I], sizeof(uint64_t));
+    Out[I] = V;
+    Runtime::get().postDep(I, 0, V);
+  };
+
+  InvocationStats Stats =
+      Runtime::get().runParallel(N, chain::options(W), Body);
+
+  EXPECT_EQ(Stats.Misspecs, 0u) << Stats.FirstMisspecReason;
+  EXPECT_EQ(Stats.DepWaitTimeouts, 0u);
+  EXPECT_GE(Stats.DepWaitSpins, 1u) << "no consumer parked";
+  std::vector<uint64_t> Expected = chain::expected(N);
+  for (uint64_t I = 0; I < N; ++I)
+    ASSERT_EQ(Out[I], Expected[I]) << "iteration " << I;
+}
+
+TEST_F(RuntimeFaultTest, DoacrossConsumerParkedBehindDoomedProducerExits) {
+  unsigned W = chain::chainWorkers();
+  if (W == 0)
+    GTEST_SKIP() << "needs at least 2 CPUs";
+  constexpr uint64_t N = 600;
+  ParallelOptions Opt = chain::options(W);
+  Opt.InjectMisspecRate = 0.01;
+  // The runtime misspeculates these iterations after their body returns.
+  uint64_t Threshold = faultThreshold(Opt.InjectMisspecRate);
+  uint64_t Seed = Opt.InjectSeed;
+  auto *Out = reinterpret_cast<uint64_t *>(makeOut(N));
+  IterationFn Body = [Out, Threshold, Seed](uint64_t I) {
+    uint64_t Prev = I == 0 ? 0 : Runtime::get().waitDep(I - 1, 0);
+    // A doomed speculative producer stalls past the spin budget and then
+    // dies without posting: its consumer parks on a token that never
+    // comes and must leave through the misspeculation flag.  Sequential
+    // recovery re-runs the iteration and posts normally.
+    if (Runtime::get().mode() == ExecMode::SpeculativeWorker &&
+        faultHash(I, Seed) < Threshold) {
+      paceIteration(300);
+      return;
+    }
+    if (chain::late(I))
+      paceIteration(200);
+    uint64_t V = chain::step(Prev, I);
+    private_write(&Out[I], sizeof(uint64_t));
+    Out[I] = V;
+    Runtime::get().postDep(I, 0, V);
+  };
+
+  InvocationStats Stats = Runtime::get().runParallel(N, Opt, Body);
+
+  EXPECT_GE(Stats.Misspecs, 1u);
+  EXPECT_EQ(Stats.DepWaitTimeouts, 0u);
+  EXPECT_GE(Stats.DepWaitSpins, 1u) << "no consumer parked";
+  std::vector<uint64_t> Expected = chain::expected(N);
+  for (uint64_t I = 0; I < N; ++I)
+    ASSERT_EQ(Out[I], Expected[I]) << "iteration " << I;
 }
 
 } // namespace
