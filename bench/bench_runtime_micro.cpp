@@ -721,16 +721,19 @@ int runJitReport(const std::string &Path) {
   return Pass ? 0 : 1;
 }
 
-// ---- --doacross-report: staged pipeline speedup over sequential --------
+// ---- --doacross-report: DOACROSS speedup over sequential ---------------
 //
-// The DOACROSS / pipeline acceptance bench: an S-stage dependence chain
-// per iteration, each stage sleeping ~400 us (so the win is scheduling,
-// not core count — the same trick the overlap report uses), the carried
-// value forwarded stage-to-stage through the shared-memory token rings.
-// Sequential execution pays S x sleep per iteration; the staged pipeline
-// streams one iteration per stage-time.  CI runs this mode; the exit
-// code enforces the acceptance criterion that 4 workers (one per stage)
-// reach at least a 1.5x speedup, with zero misspeculations and
+// The DOACROSS acceptance bench, on the scheduler every IR DOACROSS loop
+// uses (runParallel with Strategy::Doacross).  Each iteration has a
+// parallel part of S sleeps of ~400 us (so the win is scheduling, not
+// core count — the same trick the overlap report uses) followed by a
+// short wait -> fold -> post segment that carries a distance-1 token
+// through the shared-memory token rings into Out[I].  This is the shape
+// in which speculative DOACROSS pays: the parallel part dominates the
+// sequential segment between wait and post.  Sequential execution pays
+// S x sleep per iteration; W = S workers overlap W parallel parts.  CI
+// runs this mode; the exit code enforces the acceptance criterion that
+// 4 workers reach at least a 1.5x speedup, with zero misspeculations and
 // byte-identical results.
 //
 // An informational row (no gate) times the token hand-off itself: a
@@ -740,13 +743,30 @@ int runJitReport(const std::string &Path) {
 // many waits parked in the kernel.
 
 constexpr uint64_t kDoIters = 64;
-constexpr long kStageSleepUs = 400;
+constexpr long kSleepUs = 400;
 constexpr uint64_t kChainIters = 3000;
 
-/// The carried computation of one stage: cheap, nonlinear, and dependent
-/// on everything upstream so a scheduling bug cannot cancel out.
-uint64_t doStageValue(uint64_t In, uint64_t I, uint32_t St) {
-  return (In * 2862933555777941757ULL + I * 3 + St + 1) ^ (In >> 7);
+/// One step of an iteration's value chain: cheap, nonlinear, and
+/// dependent on everything upstream so a scheduling bug cannot cancel out.
+uint64_t doStepValue(uint64_t In, uint64_t I, uint32_t Step) {
+  return (In * 2862933555777941757ULL + I * 3 + Step + 1) ^ (In >> 7);
+}
+
+/// Iteration I's parallel part: \p S sleeps and an S-step value chain
+/// that depends on I alone.
+uint64_t doParallelPart(uint64_t I, unsigned S) {
+  uint64_t V = 0;
+  for (unsigned Step = 0; Step < S; ++Step) {
+    timespec Ts{0, kSleepUs * 1000};
+    nanosleep(&Ts, nullptr);
+    V = doStepValue(V, I, Step);
+  }
+  return V;
+}
+
+/// Folds iteration I's own value into the token of iteration I-1.
+uint64_t doFold(uint64_t Prev, uint64_t Own, uint64_t I, unsigned S) {
+  return doStepValue(Prev ^ Own, I, S);
 }
 
 int runDoacrossReport(const std::string &Path) {
@@ -761,61 +781,55 @@ int runDoacrossReport(const std::string &Path) {
       h_alloc(kDoIters * sizeof(uint64_t), HeapKind::Private));
 
   struct Point {
-    unsigned Stages;
+    unsigned Workers;
     double SeqSec;
-    double PipeSec;
+    double DoacrossSec;
     uint64_t DepPosts;
     uint64_t DepWaits;
   };
-  const unsigned StageList[] = {2, 4};
+  const unsigned SleepsList[] = {2, 4};
   const int Reps = 3;
   std::vector<Point> Points;
   double KeySpeedup = 0;
-  for (unsigned S : StageList) {
-    // Sequential baseline: the same S-stage chain, run inline.  Also the
-    // ground truth the pipeline's committed output must match.
+  for (unsigned S : SleepsList) {
+    // Sequential baseline: the same iterations, run inline.  Also the
+    // ground truth the DOACROSS run's committed output must match.
     std::vector<uint64_t> Expected(kDoIters);
     std::vector<double> SeqSecs;
     for (int Rep = 0; Rep < Reps; ++Rep) {
       uint64_t T0 = monotonicNanos();
+      uint64_t Tok = 0;
       for (uint64_t I = 0; I < kDoIters; ++I) {
-        uint64_t Tok = 0;
-        for (unsigned St = 0; St < S; ++St) {
-          timespec Ts{0, kStageSleepUs * 1000};
-          nanosleep(&Ts, nullptr);
-          Tok = doStageValue(Tok, I, St);
-        }
-        Expected[I] = Tok;
+        uint64_t Own = doParallelPart(I, S);
+        Expected[I] = Tok = doFold(Tok, Own, I, S);
       }
       SeqSecs.push_back(static_cast<double>(monotonicNanos() - T0) * 1e-9);
     }
 
     ParallelOptions Opt;
     Opt.NumWorkers = S;
-    Opt.NumStages = S;
     Opt.CheckpointPeriod = 8;
-    auto Body = [Out, S](uint64_t I, uint32_t St, uint64_t In) -> uint64_t {
-      timespec Ts{0, kStageSleepUs * 1000};
-      nanosleep(&Ts, nullptr);
-      uint64_t Tok = doStageValue(In, I, St);
-      if (St + 1 == S) {
-        private_write(&Out[I], sizeof(uint64_t));
-        Out[I] = Tok;
-      }
-      return Tok;
+    Opt.Strat = Strategy::Doacross;
+    Opt.NumDepChannels = 1;
+    auto Body = [Out, S](uint64_t I) {
+      uint64_t Own = doParallelPart(I, S);
+      uint64_t Prev = I == 0 ? 0 : Runtime::get().waitDep(I - 1, 0);
+      uint64_t Tok = doFold(Prev, Own, I, S);
+      private_write(&Out[I], sizeof(uint64_t));
+      Out[I] = Tok;
+      Runtime::get().postDep(I, 0, Tok);
     };
-    std::vector<double> PipeSecs;
+    std::vector<double> DoacrossSecs;
     InvocationStats Best;
-    double PipeMin = 1e18;
+    double DoacrossMin = 1e18;
     // One untimed warm-up run faults in the heaps and control block.
-    Runtime::get().runParallelStaged(kDoIters, Opt, Body);
+    Runtime::get().runParallel(kDoIters, Opt, Body);
     for (int Rep = 0; Rep < Reps; ++Rep) {
       uint64_t T0 = monotonicNanos();
-      InvocationStats St = Runtime::get().runParallelStaged(kDoIters, Opt,
-                                                            Body);
+      InvocationStats St = Runtime::get().runParallel(kDoIters, Opt, Body);
       double Sec = static_cast<double>(monotonicNanos() - T0) * 1e-9;
       if (St.Misspecs != 0) {
-        std::fprintf(stderr, "doacross bench misspeculated (%u stages): %s\n",
+        std::fprintf(stderr, "doacross bench misspeculated (%u workers): %s\n",
                      S, St.FirstMisspecReason.c_str());
         return 1;
       }
@@ -823,30 +837,30 @@ int runDoacrossReport(const std::string &Path) {
         if (Out[I] != Expected[I]) {
           std::fprintf(stderr,
                        "doacross bench diverged at iteration %llu "
-                       "(%u stages)\n",
+                       "(%u workers)\n",
                        static_cast<unsigned long long>(I), S);
           return 1;
         }
-      if (Sec < PipeMin) {
-        PipeMin = Sec;
+      if (Sec < DoacrossMin) {
+        DoacrossMin = Sec;
         Best = St;
       }
-      PipeSecs.push_back(Sec);
+      DoacrossSecs.push_back(Sec);
     }
     auto median = [](std::vector<double> &V) {
       std::sort(V.begin(), V.end());
       return V[V.size() / 2];
     };
-    double SeqSec = median(SeqSecs), PipeSec = median(PipeSecs);
-    double Speedup = SeqSec / PipeSec;
+    double SeqSec = median(SeqSecs), DoacrossSec = median(DoacrossSecs);
+    double Speedup = SeqSec / DoacrossSec;
     if (S == 4)
       KeySpeedup = Speedup;
-    std::printf("%u stages/workers: sequential %7.2f ms, pipeline %7.2f ms, "
-                "speedup %.2fx (%llu posts, %llu waits)\n",
-                S, SeqSec * 1e3, PipeSec * 1e3, Speedup,
+    std::printf("%u workers (%u x %ld us per iteration): sequential %7.2f ms, "
+                "doacross %7.2f ms, speedup %.2fx (%llu posts, %llu waits)\n",
+                S, S, kSleepUs, SeqSec * 1e3, DoacrossSec * 1e3, Speedup,
                 static_cast<unsigned long long>(Best.DepPosts),
                 static_cast<unsigned long long>(Best.DepWaits));
-    Points.push_back({S, SeqSec, PipeSec, Best.DepPosts, Best.DepWaits});
+    Points.push_back({S, SeqSec, DoacrossSec, Best.DepPosts, Best.DepWaits});
   }
 
   // Tight chain: median of Reps runs after one warm-up.
@@ -891,16 +905,18 @@ int runDoacrossReport(const std::string &Path) {
     return 1;
   }
   std::fprintf(F,
-               "{\n  \"iterations\": %llu,\n  \"stage_sleep_us\": %ld,\n"
+               "{\n  \"iterations\": %llu,\n  \"sleep_us\": %ld,\n"
                "  \"points\": [\n",
-               static_cast<unsigned long long>(kDoIters), kStageSleepUs);
+               static_cast<unsigned long long>(kDoIters), kSleepUs);
   for (size_t I = 0; I < Points.size(); ++I) {
     const Point &P = Points[I];
     std::fprintf(F,
-                 "    {\"stages\": %u, \"workers\": %u, \"seq_sec\": %.6f, "
-                 "\"pipeline_sec\": %.6f, \"speedup\": %.3f, "
+                 "    {\"workers\": %u, \"sleeps_per_iteration\": %u, "
+                 "\"seq_sec\": %.6f, \"doacross_sec\": %.6f, "
+                 "\"speedup\": %.3f, "
                  "\"dep_posts\": %llu, \"dep_waits\": %llu}%s\n",
-                 P.Stages, P.Stages, P.SeqSec, P.PipeSec, P.SeqSec / P.PipeSec,
+                 P.Workers, P.Workers, P.SeqSec, P.DoacrossSec,
+                 P.SeqSec / P.DoacrossSec,
                  static_cast<unsigned long long>(P.DepPosts),
                  static_cast<unsigned long long>(P.DepWaits),
                  I + 1 < Points.size() ? "," : "");
@@ -914,7 +930,7 @@ int runDoacrossReport(const std::string &Path) {
   std::fprintf(F, "  \"check_4worker_speedup_ge_1_5\": %s\n}\n",
                Pass ? "true" : "false");
   std::fclose(F);
-  std::printf("doacross report written to %s; 4-worker pipeline speedup "
+  std::printf("doacross report written to %s; 4-worker doacross speedup "
               "%.2fx (need >=1.5x): %s\n",
               Path.c_str(), KeySpeedup, Pass ? "PASS" : "FAIL");
   return Pass ? 0 : 1;

@@ -135,13 +135,8 @@ uint32_t VM::runPlannedLoop(const BcFunction &Fn, Frame &Frm,
     // loop's first IV value was produced before the loop and must not be
     // waited for.
     Runtime::get().setDepFloor(Begin);
-    // The planned body is one monolithic iteration; stage-split scheduling
-    // (runParallelStaged) needs a per-stage body.  Pipeline strategy over
-    // IR loops degrades to DOACROSS token scheduling.
-    ParallelOptions POpt = Plan->Options;
-    POpt.NumStages = 0;
     InvocationStats S = Runtime::get().runParallel(
-        N, POpt, [&](uint64_t It) {
+        N, Plan->Options, [&](uint64_t It) {
           Frm.R[Site.IvReg] = uI(Begin + static_cast<int64_t>(It));
           InParallelBody = true;
           uint64_t Dummy = 0;

@@ -389,12 +389,8 @@ BasicBlock *Interpreter::runPlannedLoop(Frame &F) {
     // (the rewritten IR discards the value via select) instead of spinning
     // for a token nobody will post.
     Runtime::get().setDepFloor(Begin);
-    // Monolithic iteration body: pipeline strategy degrades to DOACROSS
-    // token scheduling (stage-split bodies go through runParallelStaged).
-    ParallelOptions POpt = Plan->Options;
-    POpt.NumStages = 0;
     InvocationStats S = Runtime::get().runParallel(
-        N, POpt, [&](uint64_t I) {
+        N, Plan->Options, [&](uint64_t I) {
           F.Values[Iv.Phi] = Cell::fromInt(Begin + static_cast<int64_t>(I));
           InParallelBody = true;
           Cell Ret;

@@ -101,7 +101,7 @@ struct WorkerStats {
   uint64_t CheckpointDirtyChunks = 0;
   uint64_t CheckpointBytesScanned = 0;
   uint64_t CheckpointBytesSkipped = 0;
-  /// DOACROSS / pipeline token traffic (postDep/waitDep); DepWaitSpins
+  /// DOACROSS token traffic (postDep/waitDep); DepWaitSpins
   /// counts waits that parked, as InvocationStats::DepWaitSpins.
   uint64_t DepPosts = 0;
   uint64_t DepWaits = 0;

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Post/wait token channels for speculative DOACROSS and pipeline
-/// scheduling (Strategy::Doacross / Strategy::Pipeline).  A channel is a fixed-size ring of
+/// Post/wait token channels for speculative DOACROSS scheduling
+/// (Strategy::Doacross).  A channel is a fixed-size ring of
 /// (tag, value) slots indexed by iteration number; the producer of a
 /// cross-iteration value posts it under tag Iter+1 and consumers accept a
 /// slot only on an exact tag match, so a slot left over from an earlier

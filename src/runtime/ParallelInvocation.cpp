@@ -164,7 +164,7 @@ void Runtime::runDegraded(uint64_t Begin, uint64_t End,
 }
 
 //===----------------------------------------------------------------------===//
-// Dependence-token channels (DOACROSS / pipeline)
+// Dependence-token channels (DOACROSS)
 //===----------------------------------------------------------------------===//
 
 void Runtime::ensureLocalDepRings(uint32_t Chan) {
@@ -277,17 +277,12 @@ uint64_t Runtime::waitDep(uint64_t Iter, uint32_t Chan) {
       Cb->WorkerHeartbeat[WorkerId].store(Now, std::memory_order_relaxed);
       if (Cb->MisspecFlag.load(std::memory_order_acquire) &&
           CurIter >=
-              Cb->EarliestMisspecIter.load(std::memory_order_relaxed)) {
-        if (Mode == ExecMode::SpeculativeWorker)
-          misspecAbort("dependence producer misspeculated");
-        _exit(kMisspecExit); // Non-speculative worker: same classification.
-      }
+              Cb->EarliestMisspecIter.load(std::memory_order_relaxed))
+        misspecAbort("dependence producer misspeculated");
     }
     if (DepWaitNs && Now - StartNs > DepWaitNs) {
       ++LocalStats.DepWaitTimeouts;
-      if (Mode == ExecMode::SpeculativeWorker)
-        misspecAbort("dependence wait timed out");
-      _exit(kMisspecExit);
+      misspecAbort("dependence wait timed out");
     }
     if (Now - StartNs < depchan::kSpinBudgetNs)
       continue;
@@ -307,42 +302,6 @@ uint64_t Runtime::waitDep(uint64_t Iter, uint32_t Chan) {
     if (ParkNs < 100000)
       ParkNs *= 2;
   }
-}
-
-InvocationStats Runtime::runParallelStaged(uint64_t NumIterations,
-                                           const ParallelOptions &Options,
-                                           const StagedIterationFn &Body) {
-  ParallelOptions Opt = Options;
-  uint32_t S = Opt.NumStages ? Opt.NumStages : Opt.NumWorkers;
-  S = std::max<uint32_t>(1, std::min<uint32_t>(S, Opt.NumWorkers));
-  Opt.Strat = Strategy::Pipeline;
-  Opt.NumStages = S;
-  Opt.NumWorkers = S; // One worker per stage.
-  Opt.NumDepChannels = std::max(Opt.NumDepChannels, S);
-  StageCount = S;
-  int64_t SavedFloor = DepFloor;
-  DepFloor = 0;
-  // In a worker, run this worker's stage of iteration I: wait on the
-  // previous stage's token for the same iteration, compute, post ours.
-  // Sequentially (recovery, degradation, the baseline), run the whole
-  // stage chain of I in order — the token value flows directly, so the
-  // re-execution is a legal linearization of the pipeline's two orders
-  // (stage order within an iteration, iteration order within a stage).
-  IterationFn Wrapper = [this, &Body, S](uint64_t I) {
-    if (Mode == ExecMode::Sequential) {
-      uint64_t In = 0;
-      for (uint32_t St = 0; St < S; ++St)
-        In = Body(I, St, In);
-      return;
-    }
-    uint32_t St = CurStage;
-    uint64_t In = St == 0 ? 0 : waitDep(I, St - 1);
-    postDep(I, St, Body(I, St, In));
-  };
-  InvocationStats Stats = runParallel(NumIterations, Opt, Wrapper);
-  StageCount = 0;
-  DepFloor = SavedFloor;
-  return Stats;
 }
 
 InvocationStats Runtime::runParallel(uint64_t NumIterations,
@@ -395,8 +354,8 @@ InvocationStats Runtime::runParallel(uint64_t NumIterations,
   FaultInjector Fi(Options.Faults);
   Injector = Fi.enabled() ? &Fi : nullptr;
 
-  // Dependence-token channels (DOACROSS / pipeline): one MAP_SHARED ring
-  // region for the whole invocation.  It must outlive individual epochs —
+  // Dependence-token channels (DOACROSS): one MAP_SHARED ring region
+  // for the whole invocation.  It must outlive individual epochs —
   // a token committed in epoch k feeds the first iterations of epoch k+1 —
   // and forked workers inherit the mapping, which is how forwarded values
   // cross the copy-on-write isolation boundary.
@@ -583,7 +542,6 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
                                        const IterationFn &Body,
                                        InvocationStats &Stats) {
   unsigned W = Options.NumWorkers;
-  bool Spec = !Options.NonSpeculative;
 
   EpochResult Res;
   Res.CommittedEnd = Plan.BaseIter;
@@ -624,46 +582,43 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
 
   CheckpointRegion TheRegion;
   PrivateHighWater = heap(HeapKind::Private).highWater();
-  uint64_t ReduxCovered =
-      Redux.spanEnd(heap(HeapKind::Redux).base());
+  uint64_t ReduxCovered = Redux.spanEnd(heap(HeapKind::Redux).base());
   // Commutative-heap span covered by commit-time record validation; the
   // slot com-log sections are only paid for when the heap is in use.
   uint64_t ComCovered = heap(HeapKind::Commutative).highWater();
-  if (Spec) {
-    // Per-worker dirty-chunk bitmap, sized before fork so every worker's
-    // COW copy covers the footprint; workers set bits from the
-    // private_read/private_write fast paths and clear them after merging.
-    DirtyChunkLimit = dirtyChunkCount(PrivateHighWater);
-    DirtyMask.assign(dirtyMaskWords(DirtyChunkLimit), 0);
-    Stats.PrivateFootprintBytes =
-        std::max(Stats.PrivateFootprintBytes, PrivateHighWater);
-    CheckpointRegion::Config C;
-    C.NumSlots = Plan.NumSlots;
-    C.PrivateBytes = PrivateHighWater;
-    C.ReduxBytes = ReduxCovered;
-    C.IoCapacity = Options.IoCapacityPerSlot;
-    C.ComCapacity = ComCovered > 0 ? Options.ComCapacityPerSlot : 0;
-    C.BaseIter = Plan.BaseIter;
-    C.Period = Plan.Period;
-    C.EpochIters = Plan.EpochIters;
-    C.NumWorkers = W;
-    C.SlotChunkCapacity = Options.CheckpointSlotChunks;
-    if (!TheRegion.create(C)) {
-      Cb->~ControlBlock();
-      munmap(CbMem, sizeof(ControlBlock));
-      Cb = nullptr;
-      Res.Degraded = true;
-      if (errno == ENOMEM) {
-        ++Stats.ResourceFailures;
-        Res.Reason = "out of memory: mmap checkpoint region: ";
-      } else {
-        Res.Reason = "mmap checkpoint region: ";
-      }
-      Res.Reason += std::strerror(errno);
-      return Res;
+  // Per-worker dirty-chunk bitmap, sized before fork so every worker's
+  // COW copy covers the footprint; workers set bits from the
+  // private_read/private_write fast paths and clear them after merging.
+  DirtyChunkLimit = dirtyChunkCount(PrivateHighWater);
+  DirtyMask.assign(dirtyMaskWords(DirtyChunkLimit), 0);
+  Stats.PrivateFootprintBytes =
+      std::max(Stats.PrivateFootprintBytes, PrivateHighWater);
+  CheckpointRegion::Config C;
+  C.NumSlots = Plan.NumSlots;
+  C.PrivateBytes = PrivateHighWater;
+  C.ReduxBytes = ReduxCovered;
+  C.IoCapacity = Options.IoCapacityPerSlot;
+  C.ComCapacity = ComCovered > 0 ? Options.ComCapacityPerSlot : 0;
+  C.BaseIter = Plan.BaseIter;
+  C.Period = Plan.Period;
+  C.EpochIters = Plan.EpochIters;
+  C.NumWorkers = W;
+  C.SlotChunkCapacity = Options.CheckpointSlotChunks;
+  if (!TheRegion.create(C)) {
+    Cb->~ControlBlock();
+    munmap(CbMem, sizeof(ControlBlock));
+    Cb = nullptr;
+    Res.Degraded = true;
+    if (errno == ENOMEM) {
+      ++Stats.ResourceFailures;
+      Res.Reason = "out of memory: mmap checkpoint region: ";
+    } else {
+      Res.Reason = "mmap checkpoint region: ";
     }
-    Region = &TheRegion;
+    Res.Reason += std::strerror(errno);
+    return Res;
   }
+  Region = &TheRegion;
 
   // Spawn workers (§5.1: "the Privateer runtime system uses processes and
   // not threads" so each can update its virtual memory map independently).
@@ -724,7 +679,7 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
     return Res;
   }
 
-  if (Spec && Injector)
+  if (Injector)
     Injector->maybeCorruptSlot(TheRegion);
 
   // Join and commit as one poll-reap-commit state machine.  The watchdog
@@ -755,7 +710,7 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
   uint64_t EpochEnd = Plan.BaseIter + Plan.EpochIters;
   uint64_t NextCommit = 0;    // First slot not yet committed, in order.
   bool CommitStopped = false; // A commit failed; Res carries the verdict.
-  bool Pump = Spec && Options.EagerCommit;
+  bool Pump = Options.EagerCommit;
 
   auto slotEnd = [&](uint64_t P) {
     return std::min(EpochEnd, Plan.BaseIter + (P + 1) * Plan.Period);
@@ -993,99 +948,89 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
       Flag ? Cb->EarliestMisspecPeriod.load(std::memory_order_relaxed)
            : kNoMisspec;
 
-  if (Spec) {
-    // Post-join sweep: commit, in iteration order (§5.2), whatever the
-    // pump did not get to — at most the final slot when the pump ran, the
-    // whole epoch when EagerCommit is off.  All workers are reaped by now,
-    // so a still-held slot lock is orphaned by definition, and an
-    // incomplete merge count means a worker was lost; neither condition is
-    // decidable mid-epoch, which is why only the sweep checks them.
-    for (uint64_t P = NextCommit; P < Plan.NumSlots && !CommitStopped;
-         ++P) {
-      if (Flag && P >= MisspecPeriod) {
-        Res.Misspec = true;
-        Res.Reason = Cb->MisspecReason;
-        Res.MisspecPeriodEnd = std::min(
-            Plan.BaseIter + Plan.EpochIters,
-            Plan.BaseIter + (MisspecPeriod + 1) * Plan.Period);
-        break;
-      }
-      SlotHeader *H = TheRegion.slot(P);
-      uint64_t SlotEnd = std::min(Plan.BaseIter + Plan.EpochIters,
-                                  Plan.BaseIter + (P + 1) * Plan.Period);
-      if (H->Lock.holder() != 0) {
-        H->Lock.forceBreak();
-        ++Stats.LocksBroken;
-        if (TraceOn)
-          Tc.record(trace::Kind::LockBroken, 0, monotonicNanos(), 0, 0,
-                    static_cast<uint32_t>(P));
-        Res.Misspec = true;
-        Res.Reason = "checkpoint slot lock orphaned by a dead worker";
-        Res.MisspecPeriodEnd = SlotEnd;
-        break;
-      }
-      if (!TheRegion.slotHeaderSane(P)) {
-        Res.Misspec = true;
-        Res.Reason = "corrupted checkpoint slot header";
-        Res.MisspecPeriodEnd = SlotEnd;
-        break;
-      }
-      if (H->Poisoned.load(std::memory_order_relaxed)) {
-        Res.Misspec = true;
-        Res.Reason = "checkpoint slot torn by a worker that died holding "
-                     "its lock";
-        Res.MisspecPeriodEnd = SlotEnd;
-        break;
-      }
-      if (H->WorkersMerged.load(std::memory_order_acquire) != W) {
-        Res.Misspec = true;
-        Res.Reason = "incomplete checkpoint (worker lost)";
-        Res.MisspecPeriodEnd = SlotEnd;
-        break;
-      }
-      std::string Why;
-      uint64_t TraceT0 = TraceOn ? monotonicNanos() : 0;
-      uint64_t ScanBefore = CommitScan.BytesScanned;
-      CheckpointRegion::CommitStatus St = TheRegion.commitSlot(
-          P, MasterShadow, MasterPrivate, Redux,
-          heap(HeapKind::Redux).base(), heap(HeapKind::Commutative).base(),
-          ComCovered, CommittedIo, Why, &CommitScan);
-      if (St == CheckpointRegion::CommitStatus::Misspec) {
-        Res.Misspec = true;
-        Res.Reason = Why;
-        Res.MisspecPeriodEnd = SlotEnd;
-        break;
-      }
-      if (TraceOn)
-        Tc.record(trace::Kind::CommitPostJoin, 0, monotonicNanos(), TraceT0,
-                  CommitScan.BytesScanned - ScanBefore,
-                  static_cast<uint32_t>(P));
-      Res.CommittedEnd = SlotEnd;
-      ++Stats.Checkpoints;
-    }
-    Stats.CheckpointDirtyChunks += CommitScan.DirtyChunks;
-    Stats.CheckpointBytesScanned += CommitScan.BytesScanned;
-    Stats.CheckpointBytesSkipped += CommitScan.BytesSkipped;
-    Stats.ComRecordsCommitted += CommitScan.ComRecords;
-    for (uint64_t P = 0; P < Plan.NumSlots; ++P)
-      if (TheRegion.slot(P)->ComOverflow)
-        ++Stats.ComOverflows;
-    // "take effect only when the checkpoint is marked non-speculative":
-    // only output from committed checkpoints is emitted.
-    flushIo(CommittedIo, Options.Out);
-  } else {
-    if (Flag) {
+  // Post-join sweep: commit, in iteration order (§5.2), whatever the
+  // pump did not get to — at most the final slot when the pump ran, the
+  // whole epoch when EagerCommit is off.  All workers are reaped by now,
+  // so a still-held slot lock is orphaned by definition, and an
+  // incomplete merge count means a worker was lost; neither condition is
+  // decidable mid-epoch, which is why only the sweep checks them.
+  for (uint64_t P = NextCommit; P < Plan.NumSlots && !CommitStopped; ++P) {
+    if (Flag && P >= MisspecPeriod) {
       Res.Misspec = true;
       Res.Reason = Cb->MisspecReason;
-    } else {
-      Res.CommittedEnd = Plan.BaseIter + Plan.EpochIters;
+      Res.MisspecPeriodEnd = std::min(
+          Plan.BaseIter + Plan.EpochIters,
+          Plan.BaseIter + (MisspecPeriod + 1) * Plan.Period);
+      break;
     }
+    SlotHeader *H = TheRegion.slot(P);
+    uint64_t SlotEnd = std::min(Plan.BaseIter + Plan.EpochIters,
+                                Plan.BaseIter + (P + 1) * Plan.Period);
+    if (H->Lock.holder() != 0) {
+      H->Lock.forceBreak();
+      ++Stats.LocksBroken;
+      if (TraceOn)
+        Tc.record(trace::Kind::LockBroken, 0, monotonicNanos(), 0, 0,
+                  static_cast<uint32_t>(P));
+      Res.Misspec = true;
+      Res.Reason = "checkpoint slot lock orphaned by a dead worker";
+      Res.MisspecPeriodEnd = SlotEnd;
+      break;
+    }
+    if (!TheRegion.slotHeaderSane(P)) {
+      Res.Misspec = true;
+      Res.Reason = "corrupted checkpoint slot header";
+      Res.MisspecPeriodEnd = SlotEnd;
+      break;
+    }
+    if (H->Poisoned.load(std::memory_order_relaxed)) {
+      Res.Misspec = true;
+      Res.Reason = "checkpoint slot torn by a worker that died holding "
+                   "its lock";
+      Res.MisspecPeriodEnd = SlotEnd;
+      break;
+    }
+    if (H->WorkersMerged.load(std::memory_order_acquire) != W) {
+      Res.Misspec = true;
+      Res.Reason = "incomplete checkpoint (worker lost)";
+      Res.MisspecPeriodEnd = SlotEnd;
+      break;
+    }
+    std::string Why;
+    uint64_t TraceT0 = TraceOn ? monotonicNanos() : 0;
+    uint64_t ScanBefore = CommitScan.BytesScanned;
+    CheckpointRegion::CommitStatus St = TheRegion.commitSlot(
+        P, MasterShadow, MasterPrivate, Redux, heap(HeapKind::Redux).base(),
+        heap(HeapKind::Commutative).base(), ComCovered, CommittedIo, Why,
+        &CommitScan);
+    if (St == CheckpointRegion::CommitStatus::Misspec) {
+      Res.Misspec = true;
+      Res.Reason = Why;
+      Res.MisspecPeriodEnd = SlotEnd;
+      break;
+    }
+    if (TraceOn)
+      Tc.record(trace::Kind::CommitPostJoin, 0, monotonicNanos(), TraceT0,
+                CommitScan.BytesScanned - ScanBefore,
+                static_cast<uint32_t>(P));
+    Res.CommittedEnd = SlotEnd;
+    ++Stats.Checkpoints;
   }
+  Stats.CheckpointDirtyChunks += CommitScan.DirtyChunks;
+  Stats.CheckpointBytesScanned += CommitScan.BytesScanned;
+  Stats.CheckpointBytesSkipped += CommitScan.BytesSkipped;
+  Stats.ComRecordsCommitted += CommitScan.ComRecords;
+  for (uint64_t P = 0; P < Plan.NumSlots; ++P)
+    if (TheRegion.slot(P)->ComOverflow)
+      ++Stats.ComOverflows;
+  // "take effect only when the checkpoint is marked non-speculative":
+  // only output from committed checkpoints is emitted.
+  flushIo(CommittedIo, Options.Out);
 
   // A worker death can set the misspec flag without the commit loop
   // noticing (e.g. the earliest misspeculated period lies beyond the slots
   // this epoch planned); never report a clean epoch while the flag is up.
-  if (Spec && Flag && !Res.Misspec) {
+  if (Flag && !Res.Misspec) {
     Res.Misspec = true;
     Res.Reason = Cb->MisspecReason;
   }
@@ -1127,13 +1072,8 @@ Runtime::EpochResult Runtime::runEpoch(const EpochPlan &Plan,
 void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
                          const ParallelOptions &Options,
                          const IterationFn &Body) {
-  bool Spec = !Options.NonSpeculative;
   WorkerId = Id;
   NumWorkers = Options.NumWorkers;
-  // Pipeline: this worker IS one stage and visits every iteration in
-  // order; the cyclic-scheduling arithmetic below is bypassed.
-  bool Staged = Options.Strat == Strategy::Pipeline && Options.NumStages > 0;
-  CurStage = Staged ? Id : 0;
   EpochBase = Plan.BaseIter;
   PeriodLen = Plan.Period;
   LocalStats = WorkerStats();
@@ -1151,49 +1091,44 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
                                      monotonicNanos(),
                                      static_cast<uint64_t>(getpid()), 0, Id));
 
-  if (Spec) {
-    Mode = ExecMode::SpeculativeWorker;
-    // Copy-on-write isolation of all speculatively managed heaps (§3.2).
-    // A failed remap leaves this worker unable to speculate soundly; it
-    // reports misspeculation so the main process recovers sequentially
-    // rather than aborting the whole program.
-    if (!heap(HeapKind::Private).tryRemapCopyOnWrite() ||
-        !heap(HeapKind::ShortLived).tryRemapCopyOnWrite() ||
-        !heap(HeapKind::Redux).tryRemapCopyOnWrite() ||
-        !heap(HeapKind::Unrestricted).tryRemapCopyOnWrite() ||
-        !heap(HeapKind::Commutative).tryRemapCopyOnWrite() ||
-        !Shadow.tryRemapCopyOnWrite())
-      misspecAbort("copy-on-write remap failed in worker");
-    if (Options.ProtectReadOnly) {
-      heap(HeapKind::ReadOnly).protectReadOnly();
-      ActiveWorkerRuntime = this;
-      ActiveWorkerCb = Cb;
-      ActiveWorkerId = Id;
-      ActiveWorkerPeriodBase = Plan.BaseIter;
-      ActiveWorkerPeriodLen = Plan.Period;
-      ActiveWorkerTraceRing = TraceRing;
-      // The handler runs on its own stack (SA_ONSTACK) so an iteration
-      // body that overflows the worker stack still reports misspeculation
-      // instead of dying unclassified.
-      stack_t Ss;
-      std::memset(&Ss, 0, sizeof(Ss));
-      Ss.ss_sp = WorkerAltStack;
-      Ss.ss_size = sizeof(WorkerAltStack);
-      sigaltstack(&Ss, nullptr);
-      struct sigaction Sa;
-      std::memset(&Sa, 0, sizeof(Sa));
-      Sa.sa_handler = workerSegvHandler;
-      Sa.sa_flags = SA_ONSTACK;
-      sigaction(SIGSEGV, &Sa, nullptr);
-      sigaction(SIGBUS, &Sa, nullptr);
-    }
-    // "The reduction heap is replaced and bytes within those pages are
-    // initialized with the identity value for the reduction operator."
-    Redux.fillIdentity();
-  } else {
-    Mode = ExecMode::NonSpeculativeWorker;
-    SeqOut = Options.Out;
+  Mode = ExecMode::SpeculativeWorker;
+  // Copy-on-write isolation of all speculatively managed heaps (§3.2).
+  // A failed remap leaves this worker unable to speculate soundly; it
+  // reports misspeculation so the main process recovers sequentially
+  // rather than aborting the whole program.
+  if (!heap(HeapKind::Private).tryRemapCopyOnWrite() ||
+      !heap(HeapKind::ShortLived).tryRemapCopyOnWrite() ||
+      !heap(HeapKind::Redux).tryRemapCopyOnWrite() ||
+      !heap(HeapKind::Unrestricted).tryRemapCopyOnWrite() ||
+      !heap(HeapKind::Commutative).tryRemapCopyOnWrite() ||
+      !Shadow.tryRemapCopyOnWrite())
+    misspecAbort("copy-on-write remap failed in worker");
+  if (Options.ProtectReadOnly) {
+    heap(HeapKind::ReadOnly).protectReadOnly();
+    ActiveWorkerRuntime = this;
+    ActiveWorkerCb = Cb;
+    ActiveWorkerId = Id;
+    ActiveWorkerPeriodBase = Plan.BaseIter;
+    ActiveWorkerPeriodLen = Plan.Period;
+    ActiveWorkerTraceRing = TraceRing;
+    // The handler runs on its own stack (SA_ONSTACK) so an iteration
+    // body that overflows the worker stack still reports misspeculation
+    // instead of dying unclassified.
+    stack_t Ss;
+    std::memset(&Ss, 0, sizeof(Ss));
+    Ss.ss_sp = WorkerAltStack;
+    Ss.ss_size = sizeof(WorkerAltStack);
+    sigaltstack(&Ss, nullptr);
+    struct sigaction Sa;
+    std::memset(&Sa, 0, sizeof(Sa));
+    Sa.sa_handler = workerSegvHandler;
+    Sa.sa_flags = SA_ONSTACK;
+    sigaction(SIGSEGV, &Sa, nullptr);
+    sigaction(SIGBUS, &Sa, nullptr);
   }
+  // "The reduction heap is replaced and bytes within those pages are
+  // initialized with the identity value for the reduction operator."
+  Redux.fillIdentity();
 
   uint64_t InjectThreshold = faultThreshold(Options.InjectMisspecRate);
   // Heartbeat throttling: a monotonicNanos() syscall-ish store per
@@ -1232,20 +1167,12 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
     uint64_t PeriodEnd = std::min(EpochEnd, PeriodStart + Plan.Period);
     bool Executed = false;
 
-    // This worker's iterations of period P: its cyclic share for DOALL /
-    // DOACROSS, every iteration for a pipeline stage.
+    // This worker's iterations of period P: its cyclic share.
     uint64_t First = PeriodStart;
-    uint64_t Step = Staged ? 1 : NumWorkers;
-    if (!Staged) {
-      uint64_t Phase = (First - Plan.BaseIter) % NumWorkers;
-      if (Phase != Id)
-        First += (Id + NumWorkers - Phase) % NumWorkers;
-    }
-    // One span per stage per period: the stage boundaries (not individual
-    // iterations) are what a pipeline timeline needs to show skew and
-    // fill/drain.  Zero cost when tracing is off.
-    uint64_t StagePassStartNs = Staged && TraceRing ? monotonicNanos() : 0;
-    for (uint64_t I = First; I < PeriodEnd; I += Step) {
+    uint64_t Phase = (First - Plan.BaseIter) % NumWorkers;
+    if (Phase != Id)
+      First += (Id + NumWorkers - Phase) % NumWorkers;
+    for (uint64_t I = First; I < PeriodEnd; I += NumWorkers) {
       CurIter = I;
       Cb->WorkerIter[Id].store(I, std::memory_order_relaxed);
       if (++SinceBeat >= BeatEvery) {
@@ -1274,19 +1201,15 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
       ++LocalStats.Iterations;
       Executed = true;
 
-      if (Spec) {
-        // "Each worker counts the number of objects allocated and not
-        // freed from its short-lived heap.  If any of these objects is
-        // live at the end of an iteration, then lifetime speculation is
-        // violated" (§5.1).
-        if (SL.liveCount() != ShortLivedLiveAtStart)
-          misspecAbort("short-lived object outlived its iteration");
-        if (SL.liveCount() == 0)
-          SL.resetAllocations();
-        if (InjectThreshold &&
-            faultHash(I, Options.InjectSeed) < InjectThreshold)
-          misspecAbort("injected misspeculation");
-      }
+      // "Each worker counts the number of objects allocated and not freed
+      // from its short-lived heap.  If any of these objects is live at the
+      // end of an iteration, then lifetime speculation is violated" (§5.1).
+      if (SL.liveCount() != ShortLivedLiveAtStart)
+        misspecAbort("short-lived object outlived its iteration");
+      if (SL.liveCount() == 0)
+        SL.resetAllocations();
+      if (InjectThreshold && faultHash(I, Options.InjectSeed) < InjectThreshold)
+        misspecAbort("injected misspeculation");
 
       // "Workers consult the global misspeculation flag after each
       // iteration" (§5.3): terminate only if our checkpoint has been
@@ -1297,14 +1220,10 @@ void Runtime::workerMain(unsigned Id, const EpochPlan &Plan,
         break;
       }
     }
-    if (StagePassStartNs)
-      TraceRing->push(trace::makeEvent(
-          trace::Kind::StagePass, TraceRow, monotonicNanos(),
-          StagePassStartNs, P, CurStage));
 
     if (Stopped)
       break;
-    if (Spec) {
+    { // Merge period P into its checkpoint slot.
       CategoryTimer Timer(LocalStats.CheckpointSec);
       uint64_t MergeStartNs = monotonicNanos();
       Cb->WorkerHeartbeat[Id].store(MergeStartNs, std::memory_order_relaxed);

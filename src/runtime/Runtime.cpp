@@ -12,8 +12,6 @@
 #include <cstring>
 #include <iterator>
 
-#include <unistd.h>
-
 using namespace privateer;
 
 void InvocationStats::accumulate(const InvocationStats &S) {
@@ -172,8 +170,8 @@ void Runtime::registerCommutative(void *P, size_t Bytes, ComOp Op,
 void Runtime::comUpdate(void *P, ComOp Op, unsigned Bytes, int64_t Value) {
   uint64_t Addr = reinterpret_cast<uint64_t>(P);
   if (Mode != ExecMode::SpeculativeWorker) {
-    // Sequential execution, recovery, and non-speculative workers apply
-    // the fold immediately; the heaps behave as ordinary memory (§3.2).
+    // Sequential execution and recovery apply the fold immediately; the
+    // heaps behave as ordinary memory (§3.2).
     applyComUpdate(Addr, Op, Bytes, Value);
     return;
   }
@@ -256,13 +254,6 @@ void Runtime::deferPrintf(const char *Fmt, ...) {
   size_t N = std::min(static_cast<size_t>(Len), sizeof(Buf) - 1);
   if (Mode == ExecMode::SpeculativeWorker) {
     PendingIo.push_back(IoRecord{CurIter, IoSequence++, std::string(Buf, N)});
-    return;
-  }
-  if (Mode == ExecMode::NonSpeculativeWorker) {
-    // DOALL-only workers bypass stdio buffering: the process exits with
-    // _exit() and must not lose or duplicate buffered output.
-    [[maybe_unused]] ssize_t Rc =
-        write(fileno(SeqOut ? SeqOut : stdout), Buf, N);
     return;
   }
   std::FILE *Out = SeqOut ? SeqOut : stdout;

@@ -61,10 +61,6 @@ enum class Strategy : uint8_t {
   /// dependences flow through post/wait token channels (postDep/waitDep)
   /// at their analyzed dependence distance.
   Doacross = 1,
-  /// Staged pipeline: the body is split into NumStages stages, one per
-  /// worker; every stage visits every iteration in order and tokens flow
-  /// between consecutive stages (runParallelStaged).
-  Pipeline = 2,
 };
 
 inline const char *strategyName(Strategy S) {
@@ -73,8 +69,6 @@ inline const char *strategyName(Strategy S) {
     return "doall";
   case Strategy::Doacross:
     return "doacross";
-  case Strategy::Pipeline:
-    return "pipeline";
   }
   return "?";
 }
@@ -85,18 +79,34 @@ inline bool strategyFromName(const std::string &Name, Strategy &Out) {
     Out = Strategy::Doall;
   else if (Name == "doacross")
     Out = Strategy::Doacross;
-  else if (Name == "pipeline")
-    Out = Strategy::Pipeline;
   else
     return false;
   return true;
 }
 
+/// Parses a --workers value: a decimal count in 1..kMaxWorkers; returns
+/// false on anything else (empty, signed, trailing junk, out of range).
+inline bool workerCountFromString(const char *Text, unsigned &Out) {
+  if (!Text || *Text < '0' || *Text > '9')
+    return false;
+  unsigned long long N = 0;
+  for (const char *C = Text; *C; ++C) {
+    if (*C < '0' || *C > '9')
+      return false;
+    N = N * 10 + static_cast<unsigned>(*C - '0');
+    if (N > kMaxWorkers)
+      return false;
+  }
+  if (N < 1)
+    return false;
+  Out = static_cast<unsigned>(N);
+  return true;
+}
+
 /// Execution context of the current process.
 enum class ExecMode : uint8_t {
-  Sequential,           ///< Main process, outside or between invocations.
-  SpeculativeWorker,    ///< Forked worker with COW heaps and validation.
-  NonSpeculativeWorker, ///< DOALL-only worker: shared heaps, no checks.
+  Sequential,        ///< Main process, outside or between invocations.
+  SpeculativeWorker, ///< Forked worker with COW heaps and validation.
 };
 
 struct ParallelOptions {
@@ -109,10 +119,6 @@ struct ParallelOptions {
   /// Fraction of iterations that artificially misspeculate (Figure 9).
   double InjectMisspecRate = 0.0;
   uint64_t InjectSeed = 1;
-  /// DOALL-only (Figure 7 baseline): no speculation, no validation, no
-  /// checkpoints; heaps stay shared.  Only sound for loops that are truly
-  /// independent.
-  bool NonSpeculative = false;
   /// Write-protect the read-only heap in workers; a stray store becomes a
   /// SIGSEGV which the worker converts into misspeculation.
   bool ProtectReadOnly = true;
@@ -137,17 +143,15 @@ struct ParallelOptions {
   /// Deferred-output sink; nullptr means stdout.
   std::FILE *Out = nullptr;
 
-  // --- Execution strategy (DOACROSS / pipeline) --------------------------
+  // --- Execution strategy (DOACROSS) -------------------------------------
 
-  /// Scheduling strategy.  Doacross and Pipeline need NumDepChannels > 0
-  /// to map the shared token rings.
+  /// Scheduling strategy.  Doacross needs NumDepChannels > 0 to map the
+  /// shared token rings.
   Strategy Strat = Strategy::Doall;
-  /// Dep-token channels the invocation uses: one per forwarded dependence
-  /// (DOACROSS) or per stage boundary (pipeline).  >0 maps a MAP_SHARED
-  /// ring region inherited by workers; 0 keeps DOALL behavior.
+  /// Dep-token channels the invocation uses: one per forwarded dependence.
+  /// >0 maps a MAP_SHARED ring region inherited by workers; 0 keeps DOALL
+  /// behavior.
   uint32_t NumDepChannels = 0;
-  /// Pipeline stage count for runParallelStaged; clamped to NumWorkers.
-  uint32_t NumStages = 0;
 
   // --- Fault tolerance ---------------------------------------------------
 
@@ -225,7 +229,7 @@ struct InvocationStats {
   uint64_t DegradedIterations = 0;
   std::string FirstDegradeReason;
 
-  // --- DOACROSS / pipeline counters (StatisticRegistry group "dep") ------
+  // --- DOACROSS counters (StatisticRegistry group "dep") -----------------
   uint64_t DepPosts = 0;        ///< Tokens published by postDep.
   uint64_t DepWaits = 0;        ///< Tokens consumed by waitDep.
   /// Waits that outlasted the spin budget and parked in the kernel
@@ -309,9 +313,9 @@ public:
   void privateWrite(const void *P, size_t Bytes);
 
   /// Value-prediction / control-speculation misspec site: in a speculative
-  /// worker, reports misspeculation when \p Cond is false.  Sequential and
-  /// non-speculative execution ignore it (the surrounding code must be
-  /// semantically complete without the prediction).
+  /// worker, reports misspeculation when \p Cond is false.  Sequential
+  /// execution (including recovery) ignores it (the surrounding code must
+  /// be semantically complete without the prediction).
   void speculateTrue(bool Cond, const char *What);
 
   /// Unconditional misspeculation report from a speculative worker.
@@ -322,8 +326,8 @@ public:
   /// in: a speculative worker verifies the commutative-heap tag (misspec on
   /// mismatch) and appends a typed record to its pending log — the store
   /// itself is deferred until commit, so no privacy validation runs.
-  /// Everywhere else (sequential, recovery, non-speculative workers) the
-  /// update applies immediately with the same load-combine-store fold.
+  /// Everywhere else (sequential execution and recovery) the update
+  /// applies immediately with the same load-combine-store fold.
   void comUpdate(void *P, ComOp Op, unsigned Bytes, int64_t Value);
 
   // --- Fast-path speculation entry points (bytecode VM) ------------------
@@ -370,8 +374,9 @@ public:
 
   // --- Parallel invocation (§5.2-5.3) -------------------------------------
 
-  /// Runs iterations [0, NumIterations) of \p Body as a speculative DOALL
-  /// (or a non-speculative DOALL when Options.NonSpeculative), including
+  /// Runs iterations [0, NumIterations) of \p Body speculatively, cyclically
+  /// over Options.NumWorkers forked workers (DOALL, or DOACROSS when the
+  /// body forwards tokens through postDep/waitDep), including
   /// checkpointing, validation, and sequential recovery on
   /// misspeculation.  Returns the invocation's statistics.
   InvocationStats runParallel(uint64_t NumIterations,
@@ -382,7 +387,7 @@ public:
   /// recovery engine.
   void runSequential(uint64_t Begin, uint64_t End, const IterationFn &Body);
 
-  // --- Dependence forwarding (DOACROSS / pipeline) -----------------------
+  // --- Dependence forwarding (DOACROSS) ----------------------------------
 
   /// post: publishes the cross-iteration value produced by iteration
   /// \p Iter on channel \p Chan.  Inside an invocation the token lands in
@@ -408,23 +413,6 @@ public:
   /// spinning.  The execution engines set it right before entering the
   /// planned loop.
   void setDepFloor(int64_t Floor) { DepFloor = Floor; }
-
-  /// Stage body for runParallelStaged: (iteration, stage, token from the
-  /// previous stage) -> token for the next stage.  Stage 0 receives 0.
-  using StagedIterationFn =
-      std::function<uint64_t(uint64_t, uint32_t, uint64_t)>;
-
-  /// Pipeline driver: stage s (one per worker, NumStages clamped to
-  /// NumWorkers) processes every iteration in order, waiting on stage
-  /// s-1's token for the same iteration and posting its own on channel s.
-  /// Shares the DOALL epoch/checkpoint machinery — checkpoint slots act
-  /// as stage-commit points (a slot commits only once every stage has
-  /// merged its period) — so misspeculation rolls back the stage suffix
-  /// past the committed frontier and re-runs the remaining (iteration,
-  /// stage) pairs sequentially in order.
-  InvocationStats runParallelStaged(uint64_t NumIterations,
-                                    const ParallelOptions &Options,
-                                    const StagedIterationFn &Body);
 
   ExecMode mode() const { return Mode; }
 
@@ -507,7 +495,7 @@ private:
   trace::Ring *TraceRing = nullptr;
   std::FILE *SeqOut = nullptr; ///< Sink for immediate (sequential) output.
 
-  // --- Dependence-token channels (DOACROSS / pipeline) -------------------
+  // --- Dependence-token channels (DOACROSS) ------------------------------
   /// Base of the channel rings.  During an invocation this is the
   /// MAP_SHARED region created by runParallel (workers inherit the
   /// mapping); outside invocations it may point at lazily grown
@@ -523,10 +511,6 @@ private:
   uint32_t LocalDepChanCount = 0;
   int64_t DepFloor = INT64_MIN;
   uint64_t DepWaitNs = 0; ///< Bound on a worker's token wait (0 = none).
-  /// Staged-pipeline state, live only inside runParallelStaged.
-  const StagedIterationFn *StagedBody = nullptr;
-  uint32_t StageCount = 0;
-  uint32_t CurStage = 0; ///< This worker's stage.
   /// Grows the process-local fallback rings to cover \p Chan.
   void ensureLocalDepRings(uint32_t Chan);
 };

@@ -171,13 +171,11 @@ JobReply service::runJob(const JobRequest &Req, unsigned Attempt,
   Par.Faults.StallSeconds = Req.FaultStallSeconds;
   Par.Faults.KillRate = Req.FaultKillRate;
   Par.Strat = static_cast<Strategy>(Req.Strat);
-  Par.NumStages = Req.NumStages;
 
   transform::PipelineOptions PO;
   PO.Engine = Req.Engine == 1 ? transform::ExecEngine::Interp
                               : transform::ExecEngine::Bytecode;
   PO.Strat = static_cast<Strategy>(Req.Strat);
-  PO.NumStages = Req.NumStages;
 
   double T0 = wallSeconds();
   try {

@@ -194,7 +194,6 @@ std::string service::encodeJobRequest(const JobRequest &R) {
   putStr(B, R.TenantId);
   putU8(B, R.Submit);
   putU8(B, R.Strat);
-  putU32(B, R.NumStages);
   return B;
 }
 
@@ -225,7 +224,7 @@ bool service::decodeJobRequest(const std::string &Body, JobRequest &R,
        C.getU32(R.FaultSupervisorSignal) && C.getU32(R.FaultSupervisorExit) &&
        C.getU32(R.FaultOomAttempts) && C.getU64(R.FaultAllocBytes) &&
        C.getF64(R.FaultBurnCpuSec) && C.getStr(R.TenantId) &&
-       C.getU8(R.Submit) && C.getU8(R.Strat) && C.getU32(R.NumStages);
+       C.getU8(R.Submit) && C.getU8(R.Strat);
   if (!Ok) {
     Err = "truncated SubmitJob body";
     return false;
@@ -242,7 +241,7 @@ bool service::decodeJobRequest(const std::string &Body, JobRequest &R,
     Err = "bad submit mode " + std::to_string(R.Submit);
     return false;
   }
-  if (R.Strat > static_cast<uint8_t>(Strategy::Pipeline)) {
+  if (R.Strat > static_cast<uint8_t>(Strategy::Doacross)) {
     Err = "bad strategy " + std::to_string(R.Strat);
     return false;
   }

@@ -42,7 +42,7 @@
 namespace privateer {
 namespace service {
 
-inline constexpr uint8_t kProtocolVersion = 5;
+inline constexpr uint8_t kProtocolVersion = 6;
 /// Default ceiling on one frame (module texts and job output both ride in
 /// frames; 64 MiB is far above any bundled program).
 inline constexpr size_t kMaxFrameBytes = 64u << 20;
@@ -140,12 +140,9 @@ struct JobRequest {
   /// constructs the lowerer declines.
   uint8_t Engine = 0;
   /// Scheduling strategy (mirrors privateer::Strategy): 0 = doall,
-  /// 1 = doacross, 2 = pipeline.  Non-doall strategies let the pipeline's
-  /// dependence-distance pre-pass rewrite provable carried dependences
-  /// into token forwarding.
+  /// 1 = doacross.  Doacross lets the pipeline's dependence-distance
+  /// pre-pass rewrite provable carried dependences into token forwarding.
   uint8_t Strat = 0;
-  /// Pipeline stage count hint, 0 = derive from the worker count.
-  uint32_t NumStages = 0;
   uint32_t NumWorkers = 4;
   uint64_t CheckpointPeriod = 64;
   uint64_t MaxSlotsPerEpoch = 32;

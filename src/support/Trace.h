@@ -58,8 +58,6 @@ enum class Kind : uint16_t {
   Degraded,        ///< Span: B = iterations run sequentially.
   LockBroken,      ///< Arg = slot.
   RingDrops,       ///< Arg = worker, A = events dropped on ring overflow.
-  StagePass,       ///< Span, worker row: one pipeline stage's pass over a
-                   ///< checkpoint period.  Arg = stage, B = slot index.
   DepPost,         ///< Worker row: Arg = channel, A = iteration, B = value.
   DepWait,         ///< Span, worker row: a dependence wait that left the
                    ///< fast path.  Arg = channel, B = iteration.

@@ -84,7 +84,7 @@ PipelineResult transform::runPrivateerPipeline(Module &M,
     // token forwarding.  The trial classification (with the covered deps
     // carved out) runs before the IR is touched, so a loop the tokens
     // cannot fully cover is left unmodified.
-    if (Opt.Strat != Strategy::Doall && (!Ready || !HA.Parallelizable)) {
+    if (Opt.Strat == Strategy::Doacross && (!Ready || !HA.Parallelizable)) {
       analysis::DoacrossPlan DP =
           analysis::planDoacross(*L, FA, R.TrainingProfile);
       if (!DP.viable()) {

@@ -248,35 +248,23 @@ TEST(Doacross, RecoversFromInjectedMisspeculation) {
   EXPECT_GE(E.Stats.Misspecs, 1u);
 }
 
-TEST(Doacross, PipelineStrategyDegradesToTokenScheduling) {
-  // Strategy::Pipeline over an IR loop (monolithic body) runs the same
-  // token-forwarded schedule; NumStages is ignored by the planned-loop
-  // path rather than mis-scheduling whole iterations per stage worker.
-  constexpr uint64_t N = 300;
-  int64_t ExpectedRet = 0;
-  std::string Expected =
-      sequentialOutput(arrayRecurrenceIrText(N, 2), &ExpectedRet);
-
-  auto M = parseOrDie(arrayRecurrenceIrText(N, 2));
-  analysis::FunctionAnalyses FA(*M);
-  PipelineResult R = runPipeline(*M, FA, Strategy::Pipeline);
-  ASSERT_TRUE(R.Transformed) << (R.Log.empty() ? "" : R.Log.back());
-
-  std::FILE *Out = std::tmpfile();
-  ParallelOptions Par;
-  Par.NumWorkers = 4;
-  Par.CheckpointPeriod = 8;
-  Par.Strat = Strategy::Pipeline;
-  Par.NumStages = 4;
-  PipelineOptions Opt;
-  Opt.Strat = Strategy::Pipeline;
-  ExecutionResult E = executePrivatized(*M, FA, R.Assignment, Opt, Par,
-                                        RuntimeConfig(), Out);
-  std::string Got = readAll(Out);
-  std::fclose(Out);
-  EXPECT_EQ(Got, Expected);
-  EXPECT_EQ(E.ReturnValue.asInt(), ExpectedRet);
-  EXPECT_EQ(E.Stats.Misspecs, 0u) << E.Stats.FirstMisspecReason;
+TEST(Doacross, StrategyNamesRoundTripAndRejectUnknown) {
+  // The two schedulers round-trip through their --strategy names; any
+  // other name, "pipeline" included, is rejected and leaves the output
+  // untouched.
+  for (Strategy S : {Strategy::Doall, Strategy::Doacross}) {
+    Strategy Parsed = S == Strategy::Doall ? Strategy::Doacross
+                                           : Strategy::Doall;
+    ASSERT_TRUE(strategyFromName(strategyName(S), Parsed)) << strategyName(S);
+    EXPECT_EQ(Parsed, S);
+  }
+  EXPECT_STREQ(strategyName(Strategy::Doall), "doall");
+  EXPECT_STREQ(strategyName(Strategy::Doacross), "doacross");
+  for (const char *Bad : {"pipeline", "", "DOALL", "doacross "}) {
+    Strategy Out = Strategy::Doacross;
+    EXPECT_FALSE(strategyFromName(Bad, Out)) << '"' << Bad << '"';
+    EXPECT_EQ(Out, Strategy::Doacross);
+  }
 }
 
 TEST(Doacross, ScalarCarryHandsTokensOverWithoutParking) {

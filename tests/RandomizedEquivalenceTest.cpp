@@ -235,27 +235,6 @@ TEST(ParallelEdgeCases, SingleIterationSingleWorker) {
   Rt.shutdown();
 }
 
-TEST(ParallelEdgeCases, NonSpeculativeDoallMode) {
-  // The Figure 7 baseline: shared heaps, no validation, no checkpoints —
-  // sound only for truly independent iterations.
-  Runtime &Rt = Runtime::get();
-  Rt.initialize();
-  auto *Out =
-      static_cast<long *>(h_alloc(64 * sizeof(long), HeapKind::Private));
-  ParallelOptions Opt;
-  Opt.NumWorkers = 4;
-  Opt.NonSpeculative = true;
-  InvocationStats S = Rt.runParallel(64, Opt, [&](uint64_t I) {
-    Out[I] = static_cast<long>(I * I); // Direct shared-heap stores.
-  });
-  EXPECT_EQ(S.Misspecs, 0u);
-  EXPECT_EQ(S.Checkpoints, 0u) << "DOALL-only has no checkpoint system";
-  EXPECT_EQ(S.PrivateWriteCalls, 0u) << "and no validation";
-  for (int I = 0; I < 64; ++I)
-    EXPECT_EQ(Out[I], static_cast<long>(I) * I);
-  Rt.shutdown();
-}
-
 // --- Randomized IR differential sweep through the parallel runtime ------
 //
 // Each seed generates a structurally privatizable IR loop with randomized
@@ -526,14 +505,14 @@ TEST(RandomizedIrSweep, ParallelRuntimeMatchesSequentialAcrossMatrix) {
   }
 }
 
-// --- Randomized dependence-loop sweep (DOACROSS / pipeline) -------------
+// --- Randomized dependence-loop sweep (DOACROSS) -----------------------
 //
 // Each seed generates a loop that is deliberately NOT DOALL-parallelizable:
 // a loop-carried i64 scalar recurrence, an array recurrence a[i] =
 // f(a[i - x], i) at a fixed or variable (mask-bounded) distance, or both —
 // exactly the dependence shapes the DOACROSS pre-pass must prove and
 // rewrite into token forwarding.  The transformed loop then runs across a
-// {workers x stages x period x faults x engine x strategy} matrix,
+// {workers x slots x period x faults x engine} matrix under DOACROSS,
 // byte-compared against plain sequential interpretation of the pristine
 // program.  PRIVATEER_RANDOM_SWEEP_SEEDS scales the sweep for nightly CI.
 
@@ -667,7 +646,7 @@ std::string randomDepLoopProgram(uint64_t Seed, uint64_t &IterationsOut) {
   return S;
 }
 
-TEST(RandomizedIrSweep, DoacrossPipelineMatchesSequentialAcrossMatrix) {
+TEST(RandomizedIrSweep, DoacrossMatchesSequentialAcrossMatrix) {
   unsigned Seeds = 25;
   if (const char *Env = std::getenv("PRIVATEER_RANDOM_SWEEP_SEEDS"))
     Seeds = static_cast<unsigned>(std::max(1, std::atoi(Env)));
@@ -691,9 +670,8 @@ TEST(RandomizedIrSweep, DoacrossPipelineMatchesSequentialAcrossMatrix) {
     std::string Expected = readAllFile(RefOut);
     std::fclose(RefOut);
 
-    // Pipeline under Strategy::Doacross (the Pipeline strategy's pre-pass
-    // is identical; only the runtime schedule differs, and that is swept
-    // per configuration below).
+    // The compiler pipeline under Strategy::Doacross; the runtime schedule
+    // is swept per configuration below.
     auto M = ir::parseModule(Text, Err);
     ASSERT_NE(M, nullptr) << Err;
     analysis::FunctionAnalyses FA(*M);
@@ -730,14 +708,11 @@ TEST(RandomizedIrSweep, DoacrossPipelineMatchesSequentialAcrossMatrix) {
       transform::PipelineOptions RunOpt = Opt;
       RunOpt.Engine = (Cfg.next() & 1) != 0 ? transform::ExecEngine::Interp
                                             : transform::ExecEngine::Bytecode;
-      // Half the configurations request the pipeline strategy with a
-      // random stage count; over a monolithic planned loop it degrades to
-      // the same token schedule, and the knob path itself is under test.
-      bool Piped = (Cfg.next() & 1) != 0;
-      Par.Strat = Piped ? Strategy::Pipeline : Strategy::Doacross;
-      Par.NumStages = Piped ? 2 + static_cast<uint32_t>(Cfg.nextBelow(3)) : 0;
-      RunOpt.Strat = Par.Strat;
-      RunOpt.NumStages = Par.NumStages;
+      // These two draws no longer choose anything; they keep each seed's
+      // later configurations (and so the swept matrix) where they were.
+      if ((Cfg.next() & 1) != 0)
+        Cfg.nextBelow(3);
+      Par.Strat = Strategy::Doacross;
       std::FILE *Out = std::tmpfile();
       transform::ExecutionResult E = transform::executePrivatized(
           *M, FA, R.Assignment, RunOpt, Par, RuntimeConfig(), Out);
@@ -749,9 +724,8 @@ TEST(RandomizedIrSweep, DoacrossPipelineMatchesSequentialAcrossMatrix) {
           std::to_string(Par.CheckpointPeriod) + " s" +
           std::to_string(Par.MaxSlotsPerEpoch) +
           (Par.EagerCommit ? " eager" : " postjoin") +
-          (Faults ? " faults" : "") + " strat=" + strategyName(Par.Strat) +
-          " stages=" + std::to_string(Par.NumStages) + " engine=" +
-          transform::execEngineName(E.EngineUsed);
+          (Faults ? " faults" : "") +
+          " engine=" + transform::execEngineName(E.EngineUsed);
       EXPECT_EQ(Got, Expected) << Where;
       EXPECT_EQ(E.ReturnValue.asInt(), RefRet.asInt()) << Where;
       if (!Faults) {

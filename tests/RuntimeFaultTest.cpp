@@ -523,129 +523,14 @@ TEST_F(RuntimeFaultTest, RandomizedWorkerKillsConvergeDeterministically) {
   expectSequentialResult(Out, N);
 }
 
-// --- Staged pipeline (runParallelStaged) rollback ----------------------
-//
-// Three stages: stage 0 produces I*I+7, stage 1 transforms it, stage 2
-// stores the result.  The value crosses stages only through dependence
-// tokens, so losing any (iteration, stage) pair without a correct
-// stage-suffix rollback would surface as a wrong or missing Out[I].
-
-namespace staged {
-
-long expected(uint64_t I) {
-  return static_cast<long>(I) * static_cast<long>(I) * 3 + 22; // (I*I+7)*3+1
-}
-
-Runtime::StagedIterationFn makeBody(long *Out) {
-  return [Out](uint64_t I, uint32_t St, uint64_t In) -> uint64_t {
-    switch (St) {
-    case 0:
-      return I * I + 7;
-    case 1:
-      return In * 3 + 1;
-    default:
-      private_write(&Out[I], sizeof(long));
-      Out[I] = static_cast<long>(In);
-      return In;
-    }
-  };
-}
-
-} // namespace staged
-
-TEST_F(RuntimeFaultTest, HealthyStagedPipelineMatchesSequential) {
-  constexpr uint64_t N = 200;
-  long *Out = makeOut(N);
-
-  ParallelOptions Opt;
-  Opt.NumWorkers = 3;
-  Opt.NumStages = 3;
-  Opt.CheckpointPeriod = 8;
-
-  InvocationStats Stats =
-      Runtime::get().runParallelStaged(N, Opt, staged::makeBody(Out));
-
-  EXPECT_EQ(Stats.Misspecs, 0u) << Stats.FirstMisspecReason;
-  EXPECT_GT(Stats.DepPosts, 0u);
-  EXPECT_GT(Stats.DepWaits, 0u);
-  for (uint64_t I = 0; I < N; ++I)
-    ASSERT_EQ(Out[I], staged::expected(I)) << "iteration " << I;
-}
-
-TEST_F(RuntimeFaultTest, StageWorkerKilledMidPipelineRecovers) {
-  constexpr uint64_t N = 200;
-  long *Out = makeOut(N);
-
-  ParallelOptions Opt;
-  Opt.NumWorkers = 3;
-  Opt.NumStages = 3;
-  Opt.CheckpointPeriod = 8;
-  // The middle stage dies at iteration 17: its committed prefix stays,
-  // the stage suffix past the frontier rolls back, and recovery re-runs
-  // the remaining (iteration, stage) pairs sequentially in order.
-  Opt.Faults.KillWorker = 1;
-  Opt.Faults.KillAtIter = 17;
-
-  InvocationStats Stats =
-      Runtime::get().runParallelStaged(N, Opt, staged::makeBody(Out));
-
-  EXPECT_GE(Stats.Misspecs, 1u);
-  EXPECT_GT(Stats.RecoveredIterations, 0u);
-  for (uint64_t I = 0; I < N; ++I)
-    ASSERT_EQ(Out[I], staged::expected(I)) << "iteration " << I;
-}
-
-TEST_F(RuntimeFaultTest, CorruptStageCommitSlotRollsBackToFrontier) {
-  constexpr uint64_t N = 200;
-  long *Out = makeOut(N);
-
-  ParallelOptions Opt;
-  Opt.NumWorkers = 3;
-  Opt.NumStages = 3;
-  Opt.CheckpointPeriod = 8;
-  Opt.Faults.CorruptSlot = 1; // Tear a stage-commit slot header mid-epoch.
-
-  InvocationStats Stats =
-      Runtime::get().runParallelStaged(N, Opt, staged::makeBody(Out));
-
-  EXPECT_GE(Stats.Misspecs, 1u);
-  EXPECT_NE(Stats.FirstMisspecReason.find("corrupt"), std::string::npos)
-      << Stats.FirstMisspecReason;
-  for (uint64_t I = 0; I < N; ++I)
-    ASSERT_EQ(Out[I], staged::expected(I)) << "iteration " << I;
-}
-
-TEST_F(RuntimeFaultTest, StalledStageProducerIsReclaimedNotDeadlocked) {
-  constexpr uint64_t N = 120;
-  long *Out = makeOut(N);
-
-  ParallelOptions Opt;
-  Opt.NumWorkers = 3;
-  Opt.NumStages = 3;
-  Opt.CheckpointPeriod = 8;
-  Opt.StallTimeoutSec = 0.3 * timeoutScale();
-  // Stage 0 — the pipeline's only producer — hangs forever at iteration
-  // 5.  Stages 1 and 2 block in waitDep for tokens that will never come;
-  // without the watchdog (or the bounded dependence wait) the join would
-  // deadlock and this test would never finish.
-  Opt.Faults.StallWorker = 0;
-  Opt.Faults.StallAtIter = 5;
-  Opt.Faults.StallSeconds = 3600.0;
-
-  InvocationStats Stats =
-      Runtime::get().runParallelStaged(N, Opt, staged::makeBody(Out));
-
-  EXPECT_GE(Stats.Misspecs, 1u);
-  for (uint64_t I = 0; I < N; ++I)
-    ASSERT_EQ(Out[I], staged::expected(I)) << "iteration " << I;
-}
-
-// --- DOACROSS token hand-off: consumers that park ---------------------
+// --- DOACROSS token forwarding: parked consumers and faults -----------
 //
 // A native distance-1 chain: iteration I waits for I-1's token, folds it
 // into its own value, stores that value and posts it.  Some producers
 // sleep well past depchan::kSpinBudgetNs before posting, so their
-// consumers stop spinning and park in the kernel.
+// consumers stop spinning and park in the kernel.  The value crosses
+// workers only through tokens, so losing a token without a correct
+// rollback to the committed frontier surfaces as a wrong Out[I].
 
 namespace chain {
 
@@ -680,6 +565,24 @@ ParallelOptions options(unsigned Workers) {
   return Opt;
 }
 
+IterationFn body(uint64_t *Out) {
+  return [Out](uint64_t I) {
+    uint64_t Prev = I == 0 ? 0 : Runtime::get().waitDep(I - 1, 0);
+    if (late(I))
+      paceIteration(200);
+    uint64_t V = step(Prev, I);
+    private_write(&Out[I], sizeof(uint64_t));
+    Out[I] = V;
+    Runtime::get().postDep(I, 0, V);
+  };
+}
+
+void expectExact(const uint64_t *Out, uint64_t N) {
+  std::vector<uint64_t> Expected = expected(N);
+  for (uint64_t I = 0; I < N; ++I)
+    ASSERT_EQ(Out[I], Expected[I]) << "iteration " << I;
+}
+
 } // namespace chain
 
 TEST_F(RuntimeFaultTest, DoacrossConsumersParkOnLateTokensAndStayExact) {
@@ -688,25 +591,77 @@ TEST_F(RuntimeFaultTest, DoacrossConsumersParkOnLateTokensAndStayExact) {
     GTEST_SKIP() << "needs at least 2 CPUs";
   constexpr uint64_t N = 600;
   auto *Out = reinterpret_cast<uint64_t *>(makeOut(N));
-  IterationFn Body = [Out](uint64_t I) {
-    uint64_t Prev = I == 0 ? 0 : Runtime::get().waitDep(I - 1, 0);
-    if (chain::late(I))
-      paceIteration(200);
-    uint64_t V = chain::step(Prev, I);
-    private_write(&Out[I], sizeof(uint64_t));
-    Out[I] = V;
-    Runtime::get().postDep(I, 0, V);
-  };
 
   InvocationStats Stats =
-      Runtime::get().runParallel(N, chain::options(W), Body);
+      Runtime::get().runParallel(N, chain::options(W), chain::body(Out));
 
   EXPECT_EQ(Stats.Misspecs, 0u) << Stats.FirstMisspecReason;
   EXPECT_EQ(Stats.DepWaitTimeouts, 0u);
   EXPECT_GE(Stats.DepWaitSpins, 1u) << "no consumer parked";
-  std::vector<uint64_t> Expected = chain::expected(N);
-  for (uint64_t I = 0; I < N; ++I)
-    ASSERT_EQ(Out[I], Expected[I]) << "iteration " << I;
+  chain::expectExact(Out, N);
+}
+
+TEST_F(RuntimeFaultTest, StageWorkerKilledMidPipelineRecovers) {
+  unsigned W = chain::chainWorkers();
+  if (W == 0)
+    GTEST_SKIP() << "needs at least 2 CPUs";
+  constexpr uint64_t N = 200;
+  auto *Out = reinterpret_cast<uint64_t *>(makeOut(N));
+  ParallelOptions Opt = chain::options(W);
+  // Worker 1 dies mid-chain at an iteration of its cyclic share (17 at
+  // W = 4) without posting its token.  The consumer blocked on that token
+  // must leave through the misspeculation flag; the committed prefix
+  // stays and recovery re-runs the chain past it in order.
+  Opt.Faults.KillWorker = 1;
+  Opt.Faults.KillAtIter = 1 + 4 * W;
+
+  InvocationStats Stats = Runtime::get().runParallel(N, Opt, chain::body(Out));
+
+  EXPECT_GE(Stats.Misspecs, 1u);
+  EXPECT_GT(Stats.RecoveredIterations, 0u);
+  EXPECT_GT(Stats.Checkpoints, 0u) << "nothing committed before the kill";
+  chain::expectExact(Out, N);
+}
+
+TEST_F(RuntimeFaultTest, CorruptStageCommitSlotRollsBackToFrontier) {
+  unsigned W = chain::chainWorkers();
+  if (W == 0)
+    GTEST_SKIP() << "needs at least 2 CPUs";
+  constexpr uint64_t N = 200;
+  auto *Out = reinterpret_cast<uint64_t *>(makeOut(N));
+  ParallelOptions Opt = chain::options(W);
+  Opt.Faults.CorruptSlot = 1; // Tear a slot header mid-epoch.
+
+  InvocationStats Stats = Runtime::get().runParallel(N, Opt, chain::body(Out));
+
+  EXPECT_GE(Stats.Misspecs, 1u);
+  EXPECT_NE(Stats.FirstMisspecReason.find("corrupt"), std::string::npos)
+      << Stats.FirstMisspecReason;
+  chain::expectExact(Out, N);
+}
+
+TEST_F(RuntimeFaultTest, StalledStageProducerIsReclaimedNotDeadlocked) {
+  unsigned W = chain::chainWorkers();
+  if (W == 0)
+    GTEST_SKIP() << "needs at least 2 CPUs";
+  constexpr uint64_t N = 120;
+  auto *Out = reinterpret_cast<uint64_t *>(makeOut(N));
+  ParallelOptions Opt = chain::options(W);
+  Opt.StallTimeoutSec = 0.3 * timeoutScale();
+  // The producer of iteration 5 hangs forever before posting.  Every
+  // later iteration is downstream of its token, so all other workers
+  // block in waitDep; without the watchdog (or the bounded dependence
+  // wait) the join would deadlock and this test would never finish.
+  Opt.Faults.StallWorker = 5 % W;
+  Opt.Faults.StallAtIter = 5;
+  Opt.Faults.StallSeconds = 3600.0;
+
+  InvocationStats Stats = Runtime::get().runParallel(N, Opt, chain::body(Out));
+
+  EXPECT_GE(Stats.Misspecs, 1u);
+  // Only the watchdog ends the stall.
+  EXPECT_GE(Stats.StalledWorkersKilled, 1u);
+  chain::expectExact(Out, N);
 }
 
 TEST_F(RuntimeFaultTest, DoacrossConsumerParkedBehindDoomedProducerExits) {

@@ -64,8 +64,7 @@ JobRequest sampleRequest() {
   R.FaultBurnCpuSec = 0.75;
   R.TenantId = "tenant-42";
   R.Submit = static_cast<uint8_t>(SubmitMode::InBand);
-  R.Strat = static_cast<uint8_t>(Strategy::Pipeline);
-  R.NumStages = 5;
+  R.Strat = static_cast<uint8_t>(Strategy::Doacross);
   return R;
 }
 
@@ -131,13 +130,13 @@ TEST(ServiceProtocol, JobRequestRoundTrip) {
   EXPECT_EQ(Out.TenantId, In.TenantId);
   EXPECT_EQ(Out.Submit, In.Submit);
   EXPECT_EQ(Out.Strat, In.Strat);
-  EXPECT_EQ(Out.NumStages, In.NumStages);
 }
 
 // A strategy byte beyond the defined enum must not pass validation.
 TEST(ServiceProtocol, BadStrategyByteRejected) {
   JobRequest In = sampleRequest();
-  In.Strat = static_cast<uint8_t>(Strategy::Pipeline) + 1;
+  In.Strat = 2;
+  static_assert(static_cast<uint8_t>(Strategy::Doacross) + 1 == 2);
   std::string Body = encodeJobRequest(In);
   JobRequest Out;
   std::string Err;
@@ -355,7 +354,8 @@ TEST(ServiceProtocol, DaemonSurvivesGarbageAndKeepsServing) {
 //
 // Every SubmitJob, JobResult, Hello and HelloReply body carries exactly
 // kProtocolVersion; older layouts (v2 had no Engine byte, v3 no tenant, v4
-// no strategy) and future ones are rejected outright, never reinterpreted.
+// no strategy, v5 a pipeline stage count) and future ones are rejected
+// outright, never reinterpreted.
 
 TEST(ServiceProtocol, CrossVersionRequestsDecode) {
   const std::string Req = encodeJobRequest(sampleRequest());
@@ -368,8 +368,9 @@ TEST(ServiceProtocol, CrossVersionRequestsDecode) {
     ASSERT_TRUE(decodeJobRequest(Req, Out, Err)) << Err;
   }
 
+  static_assert(kProtocolVersion == 6);
   for (uint8_t V : {uint8_t(0), uint8_t(1), uint8_t(2), uint8_t(3),
-                    uint8_t(4), uint8_t(kProtocolVersion + 1)}) {
+                    uint8_t(4), uint8_t(5), uint8_t(7)}) {
     SCOPED_TRACE("version " + std::to_string(V));
     auto WithVersion = [V](std::string Body) {
       Body[0] = static_cast<char>(V);

@@ -403,11 +403,12 @@ TEST(TraceSmoke, EveryEpochReusesTheInvocationRings) {
   std::remove(TracePath.c_str());
 }
 
-TEST(TraceSmoke, StagedRunEmitsStageBoundaryEvents) {
-  // A traced pipeline run must land stage_pass spans (one per stage per
-  // checkpoint period) and dep_post instants on the timeline, so stage
-  // skew and fill/drain are visible per worker row.
-  std::string TracePath = ::testing::TempDir() + "privateer-trace-staged.json";
+TEST(TraceSmoke, DoacrossRunEmitsDepPostEvents) {
+  // A traced DOACROSS chain must land dep_post instants on the timeline
+  // (one per token a worker publishes), so token hand-offs are visible
+  // per worker row.
+  std::string TracePath =
+      ::testing::TempDir() + "privateer-trace-doacross.json";
   std::remove(TracePath.c_str());
 
   RuntimeConfig C;
@@ -423,30 +424,33 @@ TEST(TraceSmoke, StagedRunEmitsStageBoundaryEvents) {
       static_cast<long *>(h_alloc(N * sizeof(long), HeapKind::Private));
   ParallelOptions Par;
   Par.NumWorkers = 3;
-  Par.NumStages = 3;
   Par.CheckpointPeriod = 8;
+  Par.Strat = Strategy::Doacross;
+  Par.NumDepChannels = 1;
   Par.TracePath = TracePath;
-  InvocationStats S = Runtime::get().runParallelStaged(
-      N, Par, [Out](uint64_t I, uint32_t St, uint64_t In) -> uint64_t {
-        if (St == 0)
-          return I + 3;
-        if (St == 1)
-          return In * 5;
-        private_write(&Out[I], sizeof(long));
-        Out[I] = static_cast<long>(In);
-        return In;
-      });
+  // Distance-1 chain: iteration I folds I-1's token into its own value.
+  auto step = [](uint64_t Prev, uint64_t I) { return Prev * 5 + I + 3; };
+  StatisticRegistry &Sr = StatisticRegistry::instance();
+  uint64_t PostsBefore = Sr.counter("trace", "dep_post");
+  InvocationStats S = Runtime::get().runParallel(N, Par, [&](uint64_t I) {
+    uint64_t Prev = I == 0 ? 0 : Runtime::get().waitDep(I - 1, 0);
+    uint64_t V = step(Prev, I);
+    private_write(&Out[I], sizeof(long));
+    Out[I] = static_cast<long>(V);
+    Runtime::get().postDep(I, 0, V);
+  });
   EXPECT_EQ(S.Misspecs, 0u) << S.FirstMisspecReason;
-  for (uint64_t I = 0; I < N; ++I)
-    ASSERT_EQ(Out[I], static_cast<long>((I + 3) * 5)) << "iteration " << I;
+  EXPECT_GE(S.DepPosts, N);
+  uint64_t Prev = 0;
+  for (uint64_t I = 0; I < N; ++I) {
+    Prev = step(Prev, I);
+    ASSERT_EQ(Out[I], static_cast<long>(Prev)) << "iteration " << I;
+  }
 
   std::string Json = readWholeFile(TracePath);
   ASSERT_FALSE(Json.empty()) << "trace file missing: " << TracePath;
-  EXPECT_NE(Json.find("\"stage_pass\""), std::string::npos);
   EXPECT_NE(Json.find("\"dep_post\""), std::string::npos);
-  StatisticRegistry &Sr = StatisticRegistry::instance();
-  EXPECT_GT(Sr.counter("trace", "stage_pass"), 0u);
-  EXPECT_GT(Sr.counter("trace", "dep_post"), 0u);
+  EXPECT_GT(Sr.counter("trace", "dep_post"), PostsBefore);
 
   trace::Collector::instance().enable(std::string()); // Disarm.
   Runtime::get().shutdown();

@@ -42,10 +42,8 @@ int usage(const char *Argv0) {
                "                    direct-threaded VM) or interp (the\n"
                "                    tree-walking oracle)\n"
                "  --strategy <s>    scheduling strategy: doall (default),\n"
-               "                    doacross (token-forward provable carried\n"
-               "                    dependences), or pipeline (staged)\n"
-               "  --stages <n>      pipeline stage count hint (default: one\n"
-               "                    per worker)\n"
+               "                    or doacross (token-forward provable\n"
+               "                    carried dependences)\n"
                "  --workers <n>     speculative workers (default 4)\n"
                "  --period <k>      checkpoint period (default 64)\n"
                "  --inject <rate>   inject misspeculation (fraction)\n"
@@ -107,10 +105,13 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     }
-    else if (A == "--stages" && I + 1 < Argc)
-      Par.NumStages = static_cast<uint32_t>(std::atoi(Argv[++I]));
-    else if (A == "--workers" && I + 1 < Argc)
-      Par.NumWorkers = static_cast<unsigned>(std::atoi(Argv[++I]));
+    else if (A == "--workers" && I + 1 < Argc) {
+      if (!workerCountFromString(Argv[++I], Par.NumWorkers)) {
+        std::fprintf(stderr, "error: --workers must be 1..%u, got '%s'\n",
+                     kMaxWorkers, Argv[I]);
+        return 2;
+      }
+    }
     else if (A == "--period" && I + 1 < Argc)
       Par.CheckpointPeriod = static_cast<uint64_t>(std::atoll(Argv[++I]));
     else if (A == "--inject" && I + 1 < Argc)
@@ -173,7 +174,6 @@ int main(int Argc, char **Argv) {
                    : service::JobMode::Speculative;
     Req.Engine = Engine == ExecEngine::Interp ? 1 : 0;
     Req.Strat = static_cast<uint8_t>(Par.Strat);
-    Req.NumStages = Par.NumStages;
     Req.NumWorkers = Par.NumWorkers;
     Req.CheckpointPeriod = Par.CheckpointPeriod;
     Req.InjectMisspecRate = Par.InjectMisspecRate;
@@ -225,7 +225,6 @@ int main(int Argc, char **Argv) {
   PipelineOptions Opt;
   Opt.Engine = Engine;
   Opt.Strat = Par.Strat;
-  Opt.NumStages = Par.NumStages;
   std::FILE *TrainSink = std::tmpfile();
   Runtime::get().setSequentialOutput(TrainSink); // Swallow training IO.
   PipelineResult R = runPrivateerPipeline(*M, FA, Opt);

@@ -35,10 +35,8 @@ int usage(const char *Argv0) {
       "  --socket <path>   daemon socket (required)\n"
       "  --demo <name>     built-in program: dijkstra | redsum\n"
       "  --seq             run the job sequentially (no speculation)\n"
-      "  --strategy <s>    scheduling strategy: doall (default), doacross,\n"
-      "                    or pipeline\n"
-      "  --stages <n>      pipeline stage count hint (default: one per\n"
-      "                    worker)\n"
+      "  --strategy <s>    scheduling strategy: doall (default) or\n"
+      "                    doacross\n"
       "  --workers <n>     speculative workers (default 4)\n"
       "  --period <k>      checkpoint period (default 64)\n"
       "  --inject <rate>   inject misspeculation (fraction)\n"
@@ -99,10 +97,15 @@ int main(int Argc, char **Argv) {
       }
       Req.Strat = static_cast<uint8_t>(S);
     }
-    else if (A == "--stages" && I + 1 < Argc)
-      Req.NumStages = static_cast<uint32_t>(std::atoi(Argv[++I]));
-    else if (A == "--workers" && I + 1 < Argc)
-      Req.NumWorkers = static_cast<uint32_t>(std::atoi(Argv[++I]));
+    else if (A == "--workers" && I + 1 < Argc) {
+      unsigned W;
+      if (!workerCountFromString(Argv[++I], W)) {
+        std::fprintf(stderr, "error: --workers must be 1..%u, got '%s'\n",
+                     kMaxWorkers, Argv[I]);
+        return 2;
+      }
+      Req.NumWorkers = W;
+    }
     else if (A == "--period" && I + 1 < Argc)
       Req.CheckpointPeriod = static_cast<uint64_t>(std::atoll(Argv[++I]));
     else if (A == "--inject" && I + 1 < Argc)
